@@ -134,10 +134,11 @@ let run_cmd =
                  trigger fired).")
   in
   let flight_dump =
-    Arg.(value & opt string "flight-dump"
+    Arg.(value & opt string "flight-dumps/flight-dump"
          & info [ "flight-dump" ] ~docv:"PREFIX"
            ~doc:"Write anomaly dumps to $(docv)-<n>.json (default \
-                 $(b,flight-dump)).")
+                 $(b,flight-dumps/flight-dump); the directory is created \
+                 when a dump is written).")
   in
   let jobs =
     Arg.(value & opt (some int) None

@@ -161,7 +161,7 @@ let create ?(costs = Costs.decstation) ?(queue_limit = 16)
         else begin
           let kernel =
             Kernel.create ?notify_queue_limit e costs
-              ~name:(Printf.sprintf "host%d" i)
+              ~name:("host" ^ string_of_int i)
           in
           let eth = Ethernet.create e (Kernel.machine kernel) in
           Kernel.attach_ethernet kernel eth;

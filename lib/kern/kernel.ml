@@ -48,12 +48,14 @@ type ash = {
   mutable quarantined : bool; (* demoted to the plain user path *)
 }
 
-(* Download-time handler cache entry: the verified + sandboxed program
-   and its (shared) prepared execution artifact. Keyed by the digest of
-   the program as submitted plus everything that changes the artifact:
-   the sandbox flag and the allowed-calls policy (which gates
-   verification). *)
+(* Download-time handler cache entry: the program as submitted, its
+   sandboxing stats and the (shared) prepared execution artifact of the
+   verified + sandboxed program. Keyed by the digest of the submitted
+   program plus everything that changes the artifact: the sandbox,
+   absint and exit-specialisation flags and the allowed-calls policy
+   (which gates verification). *)
 type cached_handler = {
+  c_program : Program.t;
   c_sb_stats : Sandbox.stats option;
   c_exec : Exec.prepared;
 }
@@ -359,35 +361,74 @@ let emit_download ~id ~cache_hit ch =
       (Trace.Ash_download { id; cache_hit; checks_elided; static_bound })
   end
 
+(* Process-wide download memo. Verification, sandboxing (with its
+   abstract interpretation) and closure generation are a pure function
+   of the submitted program and the cache key, so kernels share one
+   entry per distinct download instead of each redoing the analysis.
+   Only programs that passed [Verify.check] are stored, and a hit
+   compares the stored program with the submitted one structurally, so
+   it proves an identical program passed under the same policy rather
+   than trusting the digest. Reset past [memo_cap] entries: property
+   tests churn through thousands of one-shot random programs. Downloads
+   run on shard domains (connection churn under a sharded fabric), so
+   the table is mutex-protected; the analysis itself runs outside the
+   lock (two kernels racing on one program both analyse it; either
+   entry is correct). *)
+let memo_cap = 1024
+let memo : (cache_key, cached_handler) Hashtbl.t = Hashtbl.create 64
+let memo_mutex = Mutex.create ()
+
+let memo_find key program =
+  match Mutex.protect memo_mutex (fun () -> Hashtbl.find_opt memo key) with
+  | Some ch when ch.c_program = program -> Some ch
+  | Some _ | None -> None
+
+let memo_add key ch =
+  Mutex.protect memo_mutex (fun () ->
+      if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
+      Hashtbl.replace memo key ch);
+  ch
+
+let analyse ~sandbox ~absint ~specialize_exit ~allowed_calls program =
+  match Verify.check ~allowed_calls program with
+  | Error e -> Error e
+  | Ok p ->
+    let p, sb_stats =
+      if sandbox then
+        let sp, st = Sandbox.apply ~absint ~specialize_exit p in
+        (sp, Some st)
+      else (p, None)
+    in
+    Ok { c_program = program; c_sb_stats = sb_stats; c_exec = Exec.prepare p }
+
 let download_ash t ?(sandbox = true) ?absint ?(specialize_exit = false)
     ?(hardwired = false) ?(allowed_calls = default_allowed) program =
   let absint = match absint with Some b -> b | None -> t.absint_on in
   let key = cache_key ~sandbox ~absint ~specialize_exit ~allowed_calls
       program in
   match Hashtbl.find_opt t.handler_cache key with
-  | Some ch ->
+  | Some ch when ch.c_program = program ->
     (* Same program, same sandbox/policy: reuse the compiled artifact.
-       Verification is skipped — a hit proves an identical submission
-       already passed under the same allowed-calls policy. *)
+       Verification is skipped — an identical submission already passed
+       under the same allowed-calls policy. *)
     t.cache_hits <- t.cache_hits + 1;
     let id = install_ash t ~sandbox ~hardwired ~allowed_calls ch in
     emit_download ~id ~cache_hit:true ch;
     Ok id
-  | None ->
-    match Verify.check ~allowed_calls program with
+  | Some _ | None ->
+    let analysed =
+      match memo_find key program with
+      | Some ch -> Ok ch
+      | None ->
+        Result.map (memo_add key)
+          (analyse ~sandbox ~absint ~specialize_exit ~allowed_calls program)
+    in
+    match analysed with
     | Error e -> Error e
-    | Ok p ->
-      let p, sb_stats =
-        if sandbox then
-          let sp, st = Sandbox.apply ~absint ~specialize_exit p in
-          (sp, Some st)
-        else (p, None)
-      in
-      let exec = Exec.prepare p in
+    | Ok ch ->
       (* Compile at download time, not on first message arrival. *)
-      if t.backend = Exec.Compiled then Exec.force exec;
-      let ch = { c_sb_stats = sb_stats; c_exec = exec } in
-      Hashtbl.add t.handler_cache key ch;
+      if t.backend = Exec.Compiled then Exec.force ch.c_exec;
+      Hashtbl.replace t.handler_cache key ch;
       t.cache_misses <- t.cache_misses + 1;
       let id = install_ash t ~sandbox ~hardwired ~allowed_calls ch in
       emit_download ~id ~cache_hit:false ch;
@@ -1036,7 +1077,7 @@ let attach_ethernet t nic =
   t.eth_pktbufs <-
     List.init eth_pktbuf_count (fun i ->
         (Memory.alloc mem
-           ~name:(Printf.sprintf "eth-pktbuf-%d" i)
+           ~name:("eth-pktbuf-" ^ string_of_int i)
            t.costs.Costs.eth_mtu)
           .Memory.base);
   Ethernet.set_rx_handler nic (on_eth_rx t)

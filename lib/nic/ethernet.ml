@@ -55,7 +55,7 @@ let create engine machine =
   let slots =
     List.init costs.Costs.eth_rx_ring_slots (fun i ->
         (Memory.alloc mem
-           ~name:(Printf.sprintf "eth-ring-%d" i)
+           ~name:("eth-ring-" ^ string_of_int i)
            (2 * costs.Costs.eth_mtu))
           .Memory.base)
   in

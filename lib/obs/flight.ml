@@ -294,7 +294,14 @@ let dump_to_json d =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
+let rec ensure_dir dir =
+  if not (Sys.file_exists dir) then begin
+    ensure_dir (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
 let write_dumps t ~prefix =
+  if dumps t <> [] then ensure_dir (Filename.dirname prefix);
   List.mapi
     (fun i d ->
        let path = Printf.sprintf "%s-%d.json" prefix i in

@@ -114,4 +114,5 @@ val dump_to_json : dump -> string
 val write_dumps : t -> prefix:string -> string list
 (** Write each retained dump to ["<prefix>-<n>.json"], returning the
     paths — the chaos/scale suites call this on failure so CI can
-    upload the black box. *)
+    upload the black box. Creates the prefix's directory when there is
+    something to write and it is missing. *)

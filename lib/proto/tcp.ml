@@ -222,6 +222,10 @@ let build_segment t ~flags ~seq ~ack ~payload =
       ~dst:frame ~dst_off:headers_len ~len:plen;
   frame
 
+(* Frames go out uncopied, also those kept on [unacked] for
+   retransmission: the kernel only queues them, the NIC copies the
+   frame before the CRC and any fault, and TCP never writes to a frame
+   once built. *)
 let xmit t frame =
   t.s_tx <- t.s_tx + 1;
   match t.cfg.medium with
@@ -271,7 +275,7 @@ let resend_outstanding t ~how =
        if Trace.enabled () then
          Trace.emit (Trace.Tcp_retransmit { how; seq = seg.end_seq });
        Kernel.app_compute t.kernel Protocost.tcp_send_overhead_ns;
-       xmit t (Bytes.copy seg.frame))
+       xmit t seg.frame)
     (List.rev t.unacked)
 
 (* FIN retry limit in LAST_ACK (the R2 limit of real stacks): a peer
@@ -361,7 +365,7 @@ let send_data_segment t ~src ~len =
     :: t.unacked;
   t.sent_during_delivery <- true;
   arm_rt_timer t;
-  xmit t (Bytes.copy frame)
+  xmit t frame
 
 (* ------------------------------------------------------------------ *)
 (* Window pump and write completion                                    *)
@@ -664,7 +668,7 @@ let on_segment_body t ~addr ~len =
                rexmitted = false }
              :: t.unacked;
            arm_rt_timer t;
-           xmit t (Bytes.copy frame)
+           xmit t frame
          end
        end
        else if st = Tcb.st_syn_rcvd then begin
@@ -848,7 +852,7 @@ let create kernel cfg =
    | Tcp_an2 { vc } ->
      Kernel.bind_vc kernel ~vc delivery;
      for i = 1 to cfg.rx_buffers do
-       let r = Memory.alloc m ~name:(Printf.sprintf "tcp-rx-%d" i) frame_len in
+       let r = Memory.alloc m ~name:("tcp-rx-" ^ string_of_int i) frame_len in
        Kernel.post_receive_buffer kernel ~vc ~addr:r.Memory.base
          ~len:r.Memory.len
      done
@@ -892,7 +896,7 @@ let connect t ~on_connected =
     { end_seq = t.cfg.iss + 1; frame; sent_at = now_ns t; rexmitted = false }
     :: t.unacked;
   arm_rt_timer t;
-  xmit t (Bytes.copy frame)
+  xmit t frame
 
 let listen t =
   if state t <> Tcb.st_closed then invalid_arg "Tcp.listen: not closed";
@@ -937,7 +941,7 @@ let close t ~on_closed =
   arm_rt_timer t;
   set_state t
     (if st = Tcb.st_established then Tcb.st_fin_wait_1 else Tcb.st_last_ack);
-  xmit t (Bytes.copy frame)
+  xmit t frame
 
 let set_on_peer_fin t f = t.on_peer_fin <- Some f
 

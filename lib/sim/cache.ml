@@ -55,26 +55,40 @@ let fold_lines t ~addr ~size f init =
     !acc
   end
 
+(* [load] and [store] run on every simulated access, so they walk the
+   lines in a direct loop: no closure, no allocation on the host. *)
 let load t ~addr ~size =
-  fold_lines t ~addr ~size
-    (fun cost la ->
-       let i = index t la in
-       if t.tags.(i) = la then begin
-         t.hits <- t.hits + 1;
-         cost + t.load_extra
-       end
-       else begin
-         t.misses <- t.misses + 1;
-         t.tags.(i) <- la;
-         cost + t.load_extra + t.miss_penalty
-       end)
-    0
+  if size <= 0 then 0
+  else begin
+    let last = line_addr t (addr + size - 1) in
+    let cost = ref 0 in
+    let la = ref (line_addr t addr) in
+    while !la <= last do
+      let i = index t !la in
+      if t.tags.(i) = !la then begin
+        t.hits <- t.hits + 1;
+        cost := !cost + t.load_extra
+      end
+      else begin
+        t.misses <- t.misses + 1;
+        t.tags.(i) <- !la;
+        cost := !cost + t.load_extra + t.miss_penalty
+      end;
+      la := !la + t.line
+    done;
+    !cost
+  end
 
 let store t ~addr ~size =
   (* Write-through, no allocate: cost is per line touched; a store hit
      keeps the line valid (the data array is shared with memory in our
      model so no value update is needed). *)
-  fold_lines t ~addr ~size (fun cost _la -> cost + t.store_extra) 0
+  if size <= 0 then 0
+  else
+    let lines =
+      ((line_addr t (addr + size - 1) - line_addr t addr) lsr t.line_shift) + 1
+    in
+    lines * t.store_extra
 
 let probe t ~addr =
   let la = line_addr t addr in

@@ -47,6 +47,12 @@ val find : t -> addr:int -> size:int -> region option
 (** The region wholly containing [addr, addr+size), if mapped. Does not
     check residency. *)
 
+val is_resident : t -> addr:int -> size:int -> bool
+(** Whether [addr, addr+size) lies wholly inside one mapped, resident
+    region: the sandbox's address check. Unlike {!find} it allocates
+    nothing, like every accessor below — the simulated memory path is
+    allocation-free on the host. *)
+
 val load8 : t -> int -> int
 
 val load16 : t -> int -> int

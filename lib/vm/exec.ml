@@ -22,62 +22,25 @@ let with_default b f =
 
 type prepared = {
   program : Program.t;
-  digest : string;
   mutable compiled : Compile.t option;
 }
 
-let prepare program =
-  { program; digest = Program.digest program; compiled = None }
+let prepare program = { program; compiled = None }
 
 let program p = p.program
 
-let digest p = p.digest
-
-(* Process-wide artifact memo. Translation is a pure function of the
-   program, so distinct kernels (each with its own per-kernel handler
-   cache) still share one closure artifact per distinct program. Reset
-   when it grows past [memo_cap] — property tests churn through
-   thousands of one-shot random programs. Downloads can run on shard
-   domains (connection churn under a sharded fabric), so the shared
-   table is mutex-protected; compilation itself happens outside the
-   lock on a miss (a duplicate compile is harmless — both artifacts
-   are equivalent and one wins the table). *)
-let memo_cap = 1024
-let artifacts : (string, Compile.t) Hashtbl.t = Hashtbl.create 64
-let artifacts_mutex = Mutex.create ()
-
-let memo_find digest =
-  Mutex.lock artifacts_mutex;
-  let c = Hashtbl.find_opt artifacts digest in
-  Mutex.unlock artifacts_mutex;
-  c
-
-let memo_add digest c =
-  Mutex.lock artifacts_mutex;
-  let c =
-    match Hashtbl.find_opt artifacts digest with
-    | Some existing -> existing
-    | None ->
-      if Hashtbl.length artifacts >= memo_cap then Hashtbl.reset artifacts;
-      Hashtbl.add artifacts digest c;
-      c
-  in
-  Mutex.unlock artifacts_mutex;
-  c
-
+(* The closure artifact is generated at most once per prepared program.
+   Kernels share one prepared value per distinct ASH download through
+   the kernel's process-wide download memo, so a handler compiles once
+   per process. Two domains forcing the same value at once may both
+   compile; the artifacts are equivalent and either may win. *)
 let compiled p =
   match p.compiled with
   | Some c -> c
   | None ->
-    let c =
-      match memo_find p.digest with
-      | Some c -> c
-      | None -> memo_add p.digest (Compile.compile p.program)
-    in
+    let c = Compile.compile p.program in
     p.compiled <- Some c;
     c
-
-let is_compiled p = p.compiled <> None
 
 let force p = ignore (compiled p)
 

@@ -28,19 +28,13 @@ val with_default : backend -> (unit -> 'a) -> 'a
     (also on exception). Used by bench/tests to compare backends. *)
 
 type prepared
-(** A program prepared for execution: carries its digest and a
-    memoised compiled artifact. The artifact is created lazily on first
-    compiled-backend run, so interpreter-only use never pays for it. *)
+(** A program prepared for execution: carries a memoised compiled
+    artifact. The artifact is created lazily on first compiled-backend
+    run, so interpreter-only use never pays for it. *)
 
 val prepare : Program.t -> prepared
 
 val program : prepared -> Program.t
-
-val digest : prepared -> string
-(** Digest of the underlying program (see {!Program.digest}). *)
-
-val is_compiled : prepared -> bool
-(** Whether the closure artifact has been generated yet. *)
 
 val force : prepared -> unit
 (** Generate the closure artifact now — the kernel calls this at

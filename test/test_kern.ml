@@ -598,6 +598,40 @@ let test_kernel_download_rejects_bad_program () =
   | Ok _ -> Alcotest.fail "should reject floating point"
   | Error _ -> ()
 
+(* The download-time analysis is memoised process-wide: a second kernel
+   downloading the same program shares the first one's artifact, while
+   each kernel's own cache still counts its first download as a miss. *)
+let test_download_memo_across_kernels () =
+  let tb1 = mk_pair () and tb2 = mk_pair () in
+  let k1 = tb1.TB.server.TB.kernel and k2 = tb2.TB.server.TB.kernel in
+  let id1 = download k1 (Handlers.echo ()) in
+  let id2 = download k2 (Handlers.echo ()) in
+  List.iter
+    (fun k ->
+       let st = Kernel.handler_cache_stats k in
+       Alcotest.(check (pair int int)) "misses, hits" (1, 0)
+         (st.Kernel.misses, st.Kernel.hits))
+    [ k1; k2 ];
+  Alcotest.(check bool) "same sandbox stats" true
+    (Kernel.ash_sandbox_stats k1 id1 = Kernel.ash_sandbox_stats k2 id2
+     && Kernel.ash_sandbox_stats k1 id1 <> None);
+  Alcotest.(check bool) "one artifact across kernels" true
+    (Kernel.ash_prepared k1 id1 == Kernel.ash_prepared k2 id2);
+  (* A rejected program is never memoised: both kernels re-verify it and
+     get the same error, and neither counts a download. *)
+  let bad =
+    Ash_vm.Program.make ~name:"fp-memo" [| Isa.Fadd (1, 2, 3); Isa.Halt |]
+  in
+  let err k =
+    match Kernel.download_ash k bad with
+    | Ok _ -> Alcotest.fail "should reject floating point"
+    | Error e -> Format.asprintf "%a" Ash_vm.Verify.pp_error e
+  in
+  Alcotest.(check string) "same error" (err k1) (err k2);
+  Alcotest.(check string) "same error again" (err k1) (err k2);
+  Alcotest.(check int) "rejections not counted" 1
+    (Kernel.handler_cache_stats k2).Kernel.misses
+
 let () =
   Alcotest.run "ash_kern"
     [
@@ -663,5 +697,7 @@ let () =
             test_kernel_teardown_evicts_cache;
           Alcotest.test_case "cached handler runs" `Quick
             test_kernel_cached_handler_still_runs;
+          Alcotest.test_case "memo across kernels" `Quick
+            test_download_memo_across_kernels;
         ] );
     ]

@@ -208,6 +208,48 @@ let test_memory_many_regions_lookup () =
        Alcotest.(check int) "lookup" (i land 0xff) (Memory.load8 m r.Memory.base))
     regions
 
+(* Every fault keeps its exact [addr], [size] and [reason], whether the
+   lookup is served by the last-hit memo or by the binary search. *)
+let expect_fault what ~addr ~size ~reason f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected a fault" what
+  | exception Memory.Fault f ->
+    Alcotest.(check (triple int int string)) what (addr, size, reason)
+      (f.addr, f.size, f.reason)
+
+let test_memory_faults_exact () =
+  let m = Memory.create () in
+  let a = Memory.alloc m 32 and b = Memory.alloc m 32 in
+  let a0 = a.Memory.base and b0 = b.Memory.base in
+  expect_fault "unmapped" ~addr:0 ~size:4 ~reason:"unmapped" (fun () ->
+      Memory.load32 m 0);
+  (* Memoise [a], then step into the guard gap after it. *)
+  ignore (Memory.load8 m a0);
+  expect_fault "guard gap" ~addr:(a0 + 40) ~size:1 ~reason:"unmapped"
+    (fun () -> Memory.store8 m (a0 + 40) 1);
+  expect_fault "straddles end" ~addr:(a0 + 30) ~size:4 ~reason:"unmapped"
+    (fun () -> Memory.load32 m (a0 + 30));
+  expect_fault "blit straddles end" ~addr:(b0 + 16) ~size:17
+    ~reason:"unmapped" (fun () -> Memory.read_string m ~addr:(b0 + 16) ~len:17);
+  Memory.set_resident b false;
+  expect_fault "non-resident" ~addr:(b0 + 2) ~size:2
+    ~reason:"non-resident page" (fun () -> Memory.load16 m (b0 + 2));
+  Alcotest.(check bool) "is_resident: paged out" false
+    (Memory.is_resident m ~addr:b0 ~size:4);
+  Memory.set_resident b true;
+  Alcotest.(check bool) "is_resident: back" true
+    (Memory.is_resident m ~addr:b0 ~size:4);
+  Alcotest.(check bool) "is_resident: gap" false
+    (Memory.is_resident m ~addr:(a0 + 32) ~size:1);
+  (* Use after free of the memoised region. *)
+  ignore (Memory.load32 m a0);
+  Memory.free m a;
+  expect_fault "after free" ~addr:(a0 + 4) ~size:4 ~reason:"unmapped"
+    (fun () -> Memory.load32 m (a0 + 4));
+  Alcotest.(check bool) "find after free" true
+    (Memory.find m ~addr:a0 ~size:1 = None);
+  Alcotest.(check int) "neighbour still served" 0 (Memory.load8 m b0)
+
 (* ------------------------------------------------------------------ *)
 (* Machine: cycle accounting and Table III calibration                 *)
 (* ------------------------------------------------------------------ *)
@@ -288,6 +330,126 @@ let test_meter_drain () =
   Alcotest.(check int) "drain" 1500 (Machine.take_ns m);
   Alcotest.(check int) "reset" 0 (Machine.take_ns m);
   Alcotest.(check int) "monotonic total" 40 (Machine.consumed_cycles m)
+
+(* The simulated memory path allocates nothing on the host. Checked on
+   the native backend only: bytecode boxes what native code keeps in
+   registers. *)
+let check_no_alloc what f =
+  if Sys.backend_type = Sys.Native then begin
+    f ();
+    let before = Gc.minor_words () in
+    f ();
+    let after = Gc.minor_words () in
+    Alcotest.(check (float 0.)) (what ^ ": minor words") 0. (after -. before)
+  end
+
+let test_accessors_allocation_free () =
+  let m = mk_machine () in
+  let mem = Machine.mem m in
+  let a = (Memory.alloc mem 4096).Memory.base in
+  let b = (Memory.alloc mem 4096).Memory.base in
+  let line = costs.Costs.cache_line in
+  check_no_alloc "loads" (fun () ->
+      let acc = ref 0 in
+      for i = 0 to 1000 do
+        let o = i * 4 in
+        acc := !acc + Machine.load8 m (a + o) + Machine.load16 m (a + o)
+               + Machine.load32 m (b + o)
+      done;
+      ignore (Sys.opaque_identity !acc));
+  check_no_alloc "stores" (fun () ->
+      for i = 0 to 1000 do
+        let o = i * 4 in
+        Machine.store8 m (a + o) i;
+        Machine.store16 m (b + o) i;
+        Machine.store32 m (a + o) i
+      done);
+  check_no_alloc "copy" (fun () ->
+      Machine.copy m ~src:a ~dst:b ~len:4096;
+      Machine.copy m ~src:(b + 1) ~dst:(a + 3) ~len:1001);
+  let c = Machine.cache m in
+  check_no_alloc "straddling cache accesses" (fun () ->
+      let acc = ref 0 in
+      for i = 1 to 1000 do
+        let addr = a + (i * line) - 2 in
+        acc := !acc + Cache.load c ~addr ~size:4 + Cache.store c ~addr ~size:4
+               + Cache.load c ~addr ~size:(3 * line)
+      done;
+      ignore (Sys.opaque_identity !acc))
+
+(* The cache as it was written before its accessors became direct
+   loops, kept as the oracle: tags, hits and misses of its own. *)
+module Oracle = struct
+  type t = { tags : int array; mutable hits : int; mutable misses : int }
+
+  let line = costs.Costs.cache_line
+  let lines = costs.Costs.cache_size / line
+  let create () = { tags = Array.make lines (-1); hits = 0; misses = 0 }
+  let line_addr addr = addr land lnot (line - 1)
+  let index addr = addr / line mod lines
+
+  let fold_lines ~addr ~size f init =
+    if size <= 0 then init
+    else begin
+      let last = line_addr (addr + size - 1) in
+      let acc = ref init and la = ref (line_addr addr) in
+      while !la <= last do
+        acc := f !acc !la;
+        la := !la + line
+      done;
+      !acc
+    end
+
+  let load t ~addr ~size =
+    fold_lines ~addr ~size
+      (fun cost la ->
+         let i = index la in
+         if t.tags.(i) = la then begin
+           t.hits <- t.hits + 1;
+           cost + costs.Costs.load_extra_cycles
+         end
+         else begin
+           t.misses <- t.misses + 1;
+           t.tags.(i) <- la;
+           cost + costs.Costs.load_extra_cycles + costs.Costs.miss_penalty_cycles
+         end)
+      0
+
+  let store _t ~addr ~size =
+    fold_lines ~addr ~size (fun cost _ -> cost + costs.Costs.store_extra_cycles)
+      0
+
+  let flush_range t ~addr ~len =
+    fold_lines ~addr ~size:len
+      (fun () la -> if t.tags.(index la) = la then t.tags.(index la) <- -1)
+      ()
+end
+
+let prop_cache_matches_oracle =
+  QCheck.Test.make ~name:"cache load/store = fold_lines oracle" ~count:100
+    QCheck.(
+      list_of_size (Gen.int_range 1 300)
+        (triple (int_bound 3) (int_bound (4 * costs.Costs.cache_size))
+           (int_range (-2) 200)))
+    (fun ops ->
+       let c = Cache.create costs and o = Oracle.create () in
+       List.for_all
+         (fun (op, off, size) ->
+            let addr = 0x1000 + off in
+            let same =
+              match op with
+              | 0 | 1 -> Cache.load c ~addr ~size = Oracle.load o ~addr ~size
+              | 2 -> Cache.store c ~addr ~size = Oracle.store o ~addr ~size
+              | _ ->
+                Cache.flush_range c ~addr ~len:size;
+                Oracle.flush_range o ~addr ~len:size;
+                true
+            in
+            same
+            && Cache.stats c = (o.Oracle.hits, o.Oracle.misses)
+            && (Cache.probe c ~addr = Cache.Hit)
+               = (o.Oracle.tags.(Oracle.index addr) = Oracle.line_addr addr))
+         ops)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -372,6 +534,7 @@ let () =
           Alcotest.test_case "blit" `Quick test_memory_blit;
           Alcotest.test_case "many regions" `Quick
             test_memory_many_regions_lookup;
+          Alcotest.test_case "faults exact" `Quick test_memory_faults_exact;
         ] );
       ( "machine",
         [
@@ -380,11 +543,14 @@ let () =
           Alcotest.test_case "Table III calibration" `Quick
             test_table3_calibration;
           Alcotest.test_case "meter drain" `Quick test_meter_drain;
+          Alcotest.test_case "accessors allocation-free" `Quick
+            test_accessors_allocation_free;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_engine_monotonic_clock;
           QCheck_alcotest.to_alcotest prop_copy_preserves_content;
           QCheck_alcotest.to_alcotest prop_cache_load_cost_bounded;
+          QCheck_alcotest.to_alcotest prop_cache_matches_oracle;
         ] );
     ]
