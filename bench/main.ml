@@ -8,10 +8,6 @@
      main.exe table5 fig3     run selected experiments
      main.exe --no-bechamel   skip the Bechamel section
      main.exe --markdown      additionally dump Markdown for EXPERIMENTS.md
-     main.exe --backend interp|compiled
-                              execution backend for downloaded code
-                              (default: compiled; simulated numbers are
-                              identical either way)
      main.exe --no-json       don't write BENCH_results.json *)
 
 module Core = Ash_core
@@ -133,57 +129,6 @@ let run_bechamel () =
          Format.printf "  %-32s %12s@." name "n/a";
          None)
     rows
-
-(* -- Backend comparison: interpreter vs closure-compiled, host time -- *)
-
-(* Direct wall-clock measurement of the two handler-heaviest kernels
-   under each execution backend. The simulated results are identical by
-   construction (test_differential enforces it); only host time moves. *)
-let backend_comparison_kernels =
-  (* Higher iteration counts than the staged kernels: handler executions
-     must dominate connection/kernel setup for the backend delta to rise
-     above scenario noise. *)
-  [
-    ( "table5.remote_increment",
-      fun () ->
-        ignore (Lab.remote_increment ~iters:16 (Lab.Srv_ash { sandbox = true }))
-    );
-    ( "table6.tcp_roundtrip",
-      fun () ->
-        ignore
-          (Lab.tcp_latency
-             ~mode:(Tcp.Fast_ash { sandbox = true })
-             ~checksum:true ~iters:16 ()) );
-  ]
-
-(* Best of three timed passes (min is the usual wall-clock estimator:
-   noise is one-sided). *)
-let time_under backend f =
-  let reps = 30 in
-  Ash_vm.Exec.with_default backend (fun () ->
-      f (); (* warm up: first run compiles / fills host caches *)
-      let pass () =
-        Gc.full_major (); (* don't bill one backend for the other's garbage *)
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          f ()
-        done;
-        (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e9
-      in
-      List.fold_left min (pass ()) [ pass (); pass () ])
-
-let run_backend_comparison () =
-  Format.printf
-    "@.=== Execution backends: interpreter vs closure-compiled (host \
-     wall time per run) ===@.";
-  List.map
-    (fun (name, f) ->
-       let interp_ns = time_under Ash_vm.Exec.Interpreter f in
-       let compiled_ns = time_under Ash_vm.Exec.Compiled f in
-       Format.printf "  %-32s interp %10.0f ns   compiled %10.0f ns   x%.2f@."
-         name interp_ns compiled_ns (interp_ns /. compiled_ns);
-       (name, interp_ns, compiled_ns))
-    backend_comparison_kernels
 
 (* -- Tracer overhead: off vs counters-only vs full spans --------------- *)
 
@@ -319,13 +264,11 @@ let env_int name default =
   | Some v -> ( match int_of_string_opt v with Some n -> n | None -> default)
   | None -> default
 
-let write_results_json ~path ~backend ~tables ~bechamel ~backends ~tracer
-    ~telemetry =
+let write_results_json ~path ~tables ~bechamel ~tracer ~telemetry =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
   add "  \"schema\": \"ashs-bench-results/1\",\n";
-  add "  \"backend\": \"%s\",\n" (Ash_vm.Exec.backend_name backend);
   add "  \"meta\": {\"shards\": %d, \"jobs\": %d, \"host_cores\": %d, \
        \"git_rev\": \"%s\"},\n"
     (env_int "ASH_SHARDS" 1) (env_int "ASH_JOBS" 1)
@@ -363,16 +306,6 @@ let write_results_json ~path ~backend ~tables ~bechamel ~backends ~tracer
          (if i = List.length bechamel - 1 then "" else ","))
     bechamel;
   add "  },\n";
-  add "  \"backend_comparison_ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, interp_ns, compiled_ns) ->
-       add
-         "    \"%s\": {\"interp\": %s, \"compiled\": %s, \"speedup\": %s}%s\n"
-         (json_escape name) (json_float interp_ns) (json_float compiled_ns)
-         (json_float (interp_ns /. compiled_ns))
-         (if i = List.length backends - 1 then "" else ","))
-    backends;
-  add "  },\n";
   (match tracer with
    | None -> add "  \"tracer_overhead_ns_per_run\": null,\n"
    | Some (off_ns, counters_ns, spans_ns) ->
@@ -400,23 +333,7 @@ let () =
   let no_bechamel = List.mem "--no-bechamel" args in
   let markdown = List.mem "--markdown" args in
   let no_json = List.mem "--no-json" args in
-  let backend =
-    let rec find = function
-      | "--backend" :: v :: _ -> begin
-          match Ash_vm.Exec.backend_of_string v with
-          | Some b -> b
-          | None ->
-            Format.eprintf "unknown backend %S (interp|compiled)@." v;
-            exit 2
-        end
-      | _ :: rest -> find rest
-      | [] -> Ash_vm.Exec.Compiled
-    in
-    find args
-  in
-  Ash_vm.Exec.set_default backend;
   let rec drop_flag_args = function
-    | "--backend" :: _ :: rest -> drop_flag_args rest
     | a :: rest when String.length a > 2 && String.sub a 0 2 = "--" ->
       drop_flag_args rest
     | a :: rest -> a :: drop_flag_args rest
@@ -455,12 +372,11 @@ let () =
     List.iter (fun (_, t) -> print_string (Report.to_markdown t)) tables
   end;
   let bechamel = if no_bechamel then [] else run_bechamel () in
-  let backends = if no_bechamel then [] else run_backend_comparison () in
   let tracer = if no_bechamel then None else run_tracer_overhead () in
   let telemetry = if no_bechamel then None else run_telemetry_overhead () in
   if not no_json then begin
-    write_results_json ~path:"BENCH_results.json" ~backend ~tables ~bechamel
-      ~backends ~tracer ~telemetry;
+    write_results_json ~path:"BENCH_results.json" ~tables ~bechamel ~tracer
+      ~telemetry;
     (* Fold the headline metrics into the revision-keyed history so
        `ashbench regress` has a baseline to compare future runs against. *)
     let entry =

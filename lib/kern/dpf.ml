@@ -55,20 +55,16 @@ let filter_env machine ~msg_addr ~msg_len =
     gas_cycles = Interp.default_gas;
   }
 
-let run_prepared ?backend machine prepared ~msg_addr ~msg_len =
+let run_compiled machine program ~msg_addr ~msg_len =
   let env = filter_env machine ~msg_addr ~msg_len in
   let matched =
-    match (Ash_vm.Exec.run ?backend env prepared).Interp.outcome with
+    match (Interp.run env program).Interp.outcome with
     | Interp.Committed -> true
     | Interp.Aborted | Interp.Returned | Interp.Killed _ -> false
   in
   if Ash_obs.Trace.enabled () then
     Ash_obs.Trace.emit (Ash_obs.Trace.Dpf_eval { compiled = true; matched });
   matched
-
-let run_compiled machine program ~msg_addr ~msg_len =
-  run_prepared ~backend:Ash_vm.Exec.Interpreter machine
-    (Ash_vm.Exec.prepare program) ~msg_addr ~msg_len
 
 (* Per-atom decode/dispatch cost of a tree-walking filter interpreter:
    fetch the atom record, switch on the opcode, bounds-check, loop — the

@@ -31,27 +31,16 @@ val compile : t -> Ash_vm.Program.t
     (reject). Filter constants are baked into the emitted code, like
     DPF's constant specialization. *)
 
-val run_prepared :
-  ?backend:Ash_vm.Exec.backend ->
-  Ash_sim.Machine.t ->
-  Ash_vm.Exec.prepared ->
-  msg_addr:int ->
-  msg_len:int ->
-  bool
-(** Execute a prepared compiled filter against a packet under the given
-    execution backend (default {!Ash_vm.Exec.default}), charging the
-    machine. Packets shorter than a referenced field reject (kill =
-    reject). The kernel prepares each binding's filter once at bind
-    time and calls this per frame. *)
-
 val run_compiled :
   Ash_sim.Machine.t ->
   Ash_vm.Program.t ->
   msg_addr:int ->
   msg_len:int ->
   bool
-(** [run_prepared] on a one-shot interpreter-backend preparation:
-    execute a compiled filter program directly, charging the machine. *)
+(** Execute a {!compile}d filter against a packet, charging the
+    machine. Packets shorter than a referenced field reject (kill =
+    reject). The kernel compiles each binding's filter once at bind
+    time and calls this per frame. *)
 
 val run_interpreted :
   Ash_sim.Machine.t -> t -> msg_addr:int -> msg_len:int -> bool

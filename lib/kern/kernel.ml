@@ -7,7 +7,6 @@ module Program = Ash_vm.Program
 module Verify = Ash_vm.Verify
 module Sandbox = Ash_vm.Sandbox
 module Interp = Ash_vm.Interp
-module Exec = Ash_vm.Exec
 module Dilp = Ash_pipes.Dilp
 module An2 = Ash_nic.An2
 module Ethernet = Ash_nic.Ethernet
@@ -38,7 +37,7 @@ type stats = {
 }
 
 type ash = {
-  exec : Exec.prepared;
+  code : Program.t; (* verified and, if [sandboxed], sandboxed *)
   sandboxed : bool;
   hardwired : bool;
   allowed : Isa.kcall list;
@@ -49,15 +48,15 @@ type ash = {
 }
 
 (* Download-time handler cache entry: the program as submitted, its
-   sandboxing stats and the (shared) prepared execution artifact of the
-   verified + sandboxed program. Keyed by the digest of the submitted
-   program plus everything that changes the artifact: the sandbox,
-   absint and exit-specialisation flags and the allowed-calls policy
-   (which gates verification). *)
+   sandboxing stats and the (shared) verified + sandboxed program that
+   runs. Keyed by the digest of the submitted program plus everything
+   that changes the sandboxed program: the sandbox, absint and
+   exit-specialisation flags and the allowed-calls policy (which gates
+   verification). *)
 type cached_handler = {
   c_program : Program.t;
   c_sb_stats : Sandbox.stats option;
-  c_exec : Exec.prepared;
+  c_code : Program.t;
 }
 
 type cache_key = string * bool * bool * bool * Isa.kcall list
@@ -86,7 +85,7 @@ type binding = {
   mutable ash_budget : int option;
   mutable ash_tick_start : Ash_sim.Time.ns;
   mutable ash_ran_this_tick : int;
-  filter : (Dpf.t * Exec.prepared option) option; (* Ethernet bindings only *)
+  filter : (Dpf.t * Program.t option) option; (* Ethernet bindings only *)
   prio : int; (* install order; lower wins on overlapping eth filters *)
 }
 
@@ -99,7 +98,6 @@ type t = {
   costs : Costs.t;
   machine : Machine.t;
   kname : string;
-  backend : Exec.backend;
   absint_on : bool;
   (* Snapshot of [absint_default] taken at creation: downloads on a
      worker domain must not read the process-global knob. *)
@@ -162,20 +160,16 @@ let absint_default = ref true
 
 let set_absint_default b = absint_default := b
 
-let create ?backend ?(demux = Demux_trie) ?(quarantine_threshold = 3)
+let create ?(demux = Demux_trie) ?(quarantine_threshold = 3)
     ?(notify_queue_limit = 256) engine costs ~name =
   if quarantine_threshold < 1 then invalid_arg "Kernel.create: threshold";
   if notify_queue_limit < 1 then invalid_arg "Kernel.create: queue limit";
-  let backend =
-    match backend with Some b -> b | None -> Exec.default ()
-  in
   let t =
     {
     engine;
     costs;
     machine = Machine.create costs;
     kname = name;
-    backend;
     absint_on = !absint_default;
     demux;
     an2 = None;
@@ -257,7 +251,6 @@ let set_notify_queue_limit t n =
 
 let costs t = t.costs
 let name t = t.kname
-let exec_backend t = t.backend
 let eth_demux_mode t = t.demux
 let set_eth_demux t d = t.demux <- d
 
@@ -345,7 +338,7 @@ let install_ash t ~sandbox ~hardwired ~allowed_calls ch =
   let id = t.next_ash in
   t.next_ash <- id + 1;
   Hashtbl.add t.ashes id
-    { exec = ch.c_exec; sandboxed = sandbox; hardwired;
+    { code = ch.c_code; sandboxed = sandbox; hardwired;
       allowed = allowed_calls; sb_stats = ch.c_sb_stats; last = None;
       kills = 0; quarantined = false };
   id
@@ -361,10 +354,10 @@ let emit_download ~id ~cache_hit ch =
       (Trace.Ash_download { id; cache_hit; checks_elided; static_bound })
   end
 
-(* Process-wide download memo. Verification, sandboxing (with its
-   abstract interpretation) and closure generation are a pure function
-   of the submitted program and the cache key, so kernels share one
-   entry per distinct download instead of each redoing the analysis.
+(* Process-wide download memo. Verification and sandboxing (with its
+   abstract interpretation) are a pure function of the submitted
+   program and the cache key, so kernels share one entry per distinct
+   download instead of each redoing the analysis.
    Only programs that passed [Verify.check] are stored, and a hit
    compares the stored program with the submitted one structurally, so
    it proves an identical program passed under the same policy rather
@@ -399,7 +392,7 @@ let analyse ~sandbox ~absint ~specialize_exit ~allowed_calls program =
         (sp, Some st)
       else (p, None)
     in
-    Ok { c_program = program; c_sb_stats = sb_stats; c_exec = Exec.prepare p }
+    Ok { c_program = program; c_sb_stats = sb_stats; c_code = p }
 
 let download_ash t ?(sandbox = true) ?absint ?(specialize_exit = false)
     ?(hardwired = false) ?(allowed_calls = default_allowed) program =
@@ -408,7 +401,7 @@ let download_ash t ?(sandbox = true) ?absint ?(specialize_exit = false)
       program in
   match Hashtbl.find_opt t.handler_cache key with
   | Some ch when ch.c_program = program ->
-    (* Same program, same sandbox/policy: reuse the compiled artifact.
+    (* Same program, same sandbox/policy: reuse the sandboxed program.
        Verification is skipped — an identical submission already passed
        under the same allowed-calls policy. *)
     t.cache_hits <- t.cache_hits + 1;
@@ -426,8 +419,6 @@ let download_ash t ?(sandbox = true) ?absint ?(specialize_exit = false)
     match analysed with
     | Error e -> Error e
     | Ok ch ->
-      (* Compile at download time, not on first message arrival. *)
-      if t.backend = Exec.Compiled then Exec.force ch.c_exec;
       Hashtbl.replace t.handler_cache key ch;
       t.cache_misses <- t.cache_misses + 1;
       let id = install_ash t ~sandbox ~hardwired ~allowed_calls ch in
@@ -464,7 +455,7 @@ let find_ash t id =
 
 let ash_sandbox_stats t id = (find_ash t id).sb_stats
 let ash_last_result t id = (find_ash t id).last
-let ash_prepared t id = (find_ash t id).exec
+let ash_program t id = (find_ash t id).code
 let ash_quarantined t id = (find_ash t id).quarantined
 let ash_kill_count t id = (find_ash t id).kills
 
@@ -500,9 +491,7 @@ let dilp_callback t ~id ~src ~dst ~len ~regs =
       if Trace.enabled () then
         Span.begin_span ~corr ~off:(span_off t) Trace.Pipe;
       let result =
-        match
-          Dilp.execute ~backend:t.backend ~init t.machine c ~src ~dst ~len
-        with
+        match Dilp.execute ~init t.machine c ~src ~dst ~len with
         | r -> Some r
         | exception Invalid_argument _ -> None
       in
@@ -541,14 +530,7 @@ let bind_eth_filter t filter ~compiled delivery =
   t.next_eth_vc <- vc + 1;
   let prio = t.next_eth_prio in
   t.next_eth_prio <- prio + 1;
-  let prog =
-    if compiled then begin
-      let prep = Exec.prepare (Dpf.compile filter) in
-      if t.backend = Exec.Compiled then Exec.force prep;
-      Some prep
-    end
-    else None
-  in
+  let prog = if compiled then Some (Dpf.compile filter) else None in
   let b =
     { bvc = vc; delivery; user_handler = None; commit_hook = None;
       auto_repost = false; inflight_notify = 0; ash_budget = None;
@@ -820,7 +802,7 @@ let eth_env base t =
 
 let run_handler_common t b ~id ~corr ~c0 ~addr ~len ~release ~env ~upcall
     ~(ash : ash) =
-  let r = Exec.run ~backend:t.backend env ash.exec in
+  let r = Interp.run env ash.code in
   ash.last <- Some r;
   if Trace.enabled () then
     Span.end_span ~corr ~off:(span_off t)
@@ -1002,9 +984,8 @@ let eth_demux t ~msg_addr ~msg_len =
     List.find_opt
       (fun b ->
          match b.filter with
-         | Some (_, Some prep) ->
-           Dpf.run_prepared ~backend:t.backend t.machine prep ~msg_addr
-             ~msg_len
+         | Some (_, Some prog) ->
+           Dpf.run_compiled t.machine prog ~msg_addr ~msg_len
          | Some (spec, None) ->
            Dpf.run_interpreted t.machine spec ~msg_addr ~msg_len
          | None -> false)

@@ -68,7 +68,6 @@ type demux =
                       ({!Dpf_trie}). *)
 
 val create :
-  ?backend:Ash_vm.Exec.backend ->
   ?demux:demux ->
   ?quarantine_threshold:int ->
   ?notify_queue_limit:int ->
@@ -76,12 +75,10 @@ val create :
   Ash_sim.Costs.t ->
   name:string ->
   t
-(** [backend] selects how downloaded code executes (default:
-    {!Ash_vm.Exec.default}, i.e. closure-compiled). [demux] selects the
-    Ethernet demultiplexing strategy (default [Demux_trie]). Both are
-    host-side choices: simulated numbers are identical across backends,
-    and across demux modes whenever filters don't overlap in cost-visible
-    ways (a lone filter charges identically under both).
+(** [demux] selects the Ethernet demultiplexing strategy (default
+    [Demux_trie]). It is a host-side choice: simulated numbers are
+    identical across demux modes whenever filters don't overlap in
+    cost-visible ways (a lone filter charges identically under both).
 
     [quarantine_threshold] (default 3, must be ≥ 1) is the number of
     involuntary kills after which a handler is quarantined.
@@ -98,7 +95,6 @@ val engine : t -> Ash_sim.Engine.t
 val machine : t -> Ash_sim.Machine.t
 val costs : t -> Ash_sim.Costs.t
 val name : t -> string
-val exec_backend : t -> Ash_vm.Exec.backend
 
 val eth_demux_mode : t -> demux
 val set_eth_demux : t -> demux -> unit
@@ -164,10 +160,11 @@ val download_ash :
     Downloads are cached: re-submitting a program with an equal
     {!Ash_vm.Program.digest} under the same [sandbox]/[absint]/
     [specialize_exit] flags and allowed-calls policy skips verification
-    and sandboxing and shares the already-compiled execution artifact
+    and sandboxing and shares the already-sandboxed program
     ([hardwired] only affects per-invocation dispatch cost, so it is
-    not part of the key). Under the compiled backend the closure
-    artifact is generated here, at download time. *)
+    not part of the key). Every handler runs on {!Ash_vm.Interp.run};
+    the simulated price of the paper's download-time VCODE compilation
+    is the cost model's per-instruction charge, not a host artifact. *)
 
 type cache_stats = {
   hits : int;
@@ -183,9 +180,11 @@ type cache_stats = {
 
 val handler_cache_stats : t -> cache_stats
 
-val ash_prepared : t -> ash_id -> Ash_vm.Exec.prepared
-(** Instrumentation: the installed handler's shared execution artifact
-    (two cache-hitting downloads return physically equal values). *)
+val ash_program : t -> ash_id -> Ash_vm.Program.t
+(** Instrumentation: the installed handler's shared verified (and, if
+    sandboxed, sandboxed) program. Two downloads that hit the handler
+    cache or the process-wide download memo return physically equal
+    values. *)
 
 val ash_sandbox_stats : t -> ash_id -> Ash_vm.Sandbox.stats option
 (** Instructions added by the sandboxer ([None] for unsandboxed). *)

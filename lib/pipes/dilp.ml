@@ -6,7 +6,6 @@ let eth_striped = Striped { data = 16; pad = 16 }
 
 type compiled = {
   program : Ash_vm.Program.t;
-  exec : Ash_vm.Exec.prepared;
   mode : mode;
   layout : layout;
   pipes : Pipe.t list;
@@ -193,14 +192,13 @@ let compile ?(layout = Contiguous) pl mode =
          { name; insns = Array.length program.Ash_vm.Program.code });
   {
     program;
-    exec = Ash_vm.Exec.prepare program;
     mode;
     layout;
     pipes;
     persistent = Pipe.Pipelist.persistent_regs pl;
   }
 
-let execute ?backend ?(init = []) machine t ~src ~dst ~len =
+let execute ?(init = []) machine t ~src ~dst ~len =
   if len < 0 || len land 3 <> 0 then
     invalid_arg "Dilp.execute: length must be a non-negative multiple of 4";
   if Ash_obs.Trace.enabled () then
@@ -221,10 +219,10 @@ let execute ?backend ?(init = []) machine t ~src ~dst ~len =
   let regs_init =
     (reg_src, src) :: (reg_dst, dst) :: (reg_len, len) :: init
   in
-  Ash_vm.Exec.run ?backend env ~regs_init t.exec
+  Ash_vm.Interp.run env ~regs_init t.program
 
-let execute_exn ?backend ?init machine t ~src ~dst ~len =
-  let r = execute ?backend ?init machine t ~src ~dst ~len in
+let execute_exn ?init machine t ~src ~dst ~len =
+  let r = execute ?init machine t ~src ~dst ~len in
   match r.Ash_vm.Interp.outcome with
   | Ash_vm.Interp.Returned -> r.Ash_vm.Interp.regs
   | Ash_vm.Interp.Committed | Ash_vm.Interp.Aborted ->

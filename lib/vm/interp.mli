@@ -9,7 +9,12 @@
     Both sandboxed and unsafe programs run here; "unsafe" only skips the
     inserted check instructions (and their cost), not the simulator's own
     integrity — exactly like the paper's unsafe-ASH measurements, which
-    time un-sandboxed code that is still trusted not to be malicious. *)
+    time un-sandboxed code that is still trusted not to be malicious.
+
+    This is the only executor of downloaded code. The paper runs
+    handlers that VCODE compiled at download time; here the simulated
+    price of that code is the per-instruction cycle charge, which does
+    not depend on how the host executes the program. *)
 
 type outcome =
   | Committed            (** Handler consumed the message (§II-A). *)
@@ -50,8 +55,7 @@ type env = {
 
 val max_steps : int
 (** Hard backstop on executed instructions independent of the cycle
-    budget, so a mis-configured gas value cannot hang the host. Shared
-    by every execution backend (see {!Compile}). *)
+    budget, so a mis-configured gas value cannot hang the host. *)
 
 val default_gas : int
 (** 200_000 cycles = 5 ms at 40 MHz — two 2.5-ms clock ticks; "the

@@ -9,7 +9,11 @@
       byte-for-byte the result of applying the same pipes one sequential
       pass at a time — including checksum accumulator outputs, checked
       against both a host-level reference and the machine-charged
-      baselines in Ash_pipes.Baseline. *)
+      baselines in Ash_pipes.Baseline.
+
+   3. Golden accounting: generated VM programs, DILP transfers and DPF
+      filters reproduce recorded digests of everything they observably
+      do, down to the cycle. *)
 
 module Isa = Ash_vm.Isa
 module Program = Ash_vm.Program
@@ -392,118 +396,85 @@ let prop_dilp_matches_baseline_passes =
       fused_cksum = seq_cksum && fused_bytes = seq_bytes)
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: interpreter backend vs closure-compiled backend             *)
+(* Part 3: golden accounting                                           *)
 (* ------------------------------------------------------------------ *)
 
-module Exec = Ash_vm.Exec
 module Dpf = Ash_kern.Dpf
 
-(* The backends' contract is total observational equality: same
-   Interp.result field for field AND the same machine charging, for any
-   program — including ones that die mid-run. *)
+(* Everything a run leaves behind (outcome, instruction counts, cycles,
+   the 32 registers, the machine's cycle meter and the bytes the program
+   wrote) is folded into one digest per group of generated runs. The
+   constants were computed when a second, closure-compiled executor
+   still existed and both executors were asserted equal run for run on
+   exactly these seeds: they pin the interpreter's observable behaviour,
+   runs that die mid-way included. A change that moves a simulated
+   number must update them deliberately. *)
 
-let run_backend backend (machine, msg, _scratch) prepared =
-  let env =
-    {
-      Interp.machine;
-      msg_addr = msg.Memory.base;
-      msg_len;
-      allowed_calls = allowed;
-      dilp = (fun ~id:_ ~src:_ ~dst:_ ~len:_ ~regs:_ -> false);
-      send = ignore;
-      gas_cycles = Interp.default_gas;
-    }
-  in
-  Exec.run ~backend env prepared
+let add_int b n =
+  Buffer.add_string b (string_of_int n);
+  Buffer.add_char b ';'
 
-let check_results_equal ~what (a : Interp.result) (b : Interp.result) =
-  if a.Interp.outcome <> b.Interp.outcome then
-    QCheck.Test.fail_reportf "%s: outcomes differ" what;
-  if a.Interp.insns <> b.Interp.insns then
-    QCheck.Test.fail_reportf "%s: insns differ: %d vs %d" what a.Interp.insns
-      b.Interp.insns;
-  if a.Interp.check_insns <> b.Interp.check_insns then
-    QCheck.Test.fail_reportf "%s: check_insns differ: %d vs %d" what
-      a.Interp.check_insns b.Interp.check_insns;
-  if a.Interp.cycles <> b.Interp.cycles then
-    QCheck.Test.fail_reportf "%s: cycles differ: %d vs %d" what
-      a.Interp.cycles b.Interp.cycles;
-  for r = 0 to Isa.num_regs - 1 do
-    if a.Interp.regs.(r) <> b.Interp.regs.(r) then
-      QCheck.Test.fail_reportf "%s: r%d differs: %d vs %d" what r
-        a.Interp.regs.(r)
-        b.Interp.regs.(r)
-  done
+let add_run b machine (r : Interp.result) =
+  Buffer.add_string b
+    (match r.Interp.outcome with
+     | Interp.Committed -> "commit"
+     | Interp.Aborted -> "abort"
+     | Interp.Returned -> "return"
+     | Interp.Killed v -> Format.asprintf "kill %a" Isa.pp_violation v);
+  add_int b r.Interp.insns;
+  add_int b r.Interp.check_insns;
+  add_int b r.Interp.cycles;
+  Array.iter (add_int b) r.Interp.regs;
+  add_int b (Machine.consumed_cycles machine)
 
-let prop_backends_agree =
-  QCheck.Test.make ~name:"compiled backend = interpreter (unsafe + sandboxed)"
-    ~count:150 QCheck.small_nat (fun seed ->
-      let rng = Rng.create (seed + 13) in
-      let fa = fixture seed and fb = fixture seed in
-      let _, _, sa = fa and ma, _, _ = fa and mb, _, _ = fb in
-      let p = gen_program rng ~scratch_base:sa.Memory.base in
-      let variants =
-        [ ("unsafe", p); ("sandboxed", fst (Sandbox.apply p)) ]
-      in
-      List.iter
-        (fun (what, prog) ->
-           let prep_a = Exec.prepare prog and prep_b = Exec.prepare prog in
-           let ra = run_backend Exec.Interpreter fa prep_a in
-           let rb = run_backend Exec.Compiled fb prep_b in
-           check_results_equal ~what ra rb;
-           if Machine.consumed_cycles ma <> Machine.consumed_cycles mb then
-             QCheck.Test.fail_reportf "%s: machine cycle meters diverged" what;
-           let _, _, scr_a = fa and _, _, scr_b = fb in
-           if region_contents fa scr_a <> region_contents fb scr_b then
-             QCheck.Test.fail_reportf "%s: scratch memory diverged" what)
-        variants;
-      true)
+let digest seeds f =
+  let b = Buffer.create 4096 in
+  for seed = 0 to seeds - 1 do
+    f b seed
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
-let prop_dilp_backends_agree =
-  QCheck.Test.make ~name:"DILP transfers agree across backends" ~count:80
-    QCheck.small_nat (fun seed ->
-      let rng = Rng.create (seed + 17) in
-      let stack = gen_stack rng in
-      let len = 4 * (1 + Rng.int rng 128) in
-      let payload = Bytes.create len in
-      Rng.fill_bytes rng payload;
-      let pl = Pipe.Pipelist.create () in
-      List.iter
-        (fun pd ->
-           match pd with
-           | Cksum -> ignore (Pipelib.cksum32 pl)
-           | Bswap32 -> ignore (Pipelib.byteswap32 pl)
-           | Bswap16 -> ignore (Pipelib.byteswap16 pl)
-           | Xor _ -> ignore (Pipelib.xor_cipher pl)
-           | Count -> ignore (Pipelib.word_count pl)
-           | Ident -> ignore (Pipelib.identity pl)
-           | Add8 c -> ignore (Pipelib.add_const8 pl c))
-        stack;
-      let compiled = Dilp.compile pl Dilp.Write in
-      let setup () =
-        let machine = Machine.create Costs.decstation in
-        let mem = Machine.mem machine in
-        let src = Memory.alloc mem ~name:"src" len in
-        let dst = Memory.alloc mem ~name:"dst" len in
-        Memory.blit_from_bytes mem ~src:payload ~src_off:0
-          ~dst:src.Memory.base ~len;
-        (machine, mem, src, dst)
-      in
-      let ma, mema, srca, dsta = setup () in
-      let mb, memb, srcb, dstb = setup () in
-      let ra =
-        Dilp.execute ~backend:Exec.Interpreter ma compiled
-          ~src:srca.Memory.base ~dst:dsta.Memory.base ~len
-      in
-      let rb =
-        Dilp.execute ~backend:Exec.Compiled mb compiled ~src:srcb.Memory.base
-          ~dst:dstb.Memory.base ~len
-      in
-      check_results_equal ~what:"dilp" ra rb;
-      if Machine.consumed_cycles ma <> Machine.consumed_cycles mb then
-        QCheck.Test.fail_report "dilp: machine cycle meters diverged";
-      Memory.read_string mema ~addr:dsta.Memory.base ~len
-      = Memory.read_string memb ~addr:dstb.Memory.base ~len)
+(* Seeds 0-149: each program runs unsafe, then sandboxed, on one
+   machine, so the second run also sees the first one's cache state. *)
+let golden_vm b seed =
+  let rng = Rng.create (seed + 13) in
+  let ((machine, _, scratch) as f) = fixture seed in
+  let p = gen_program rng ~scratch_base:scratch.Memory.base in
+  List.iter
+    (fun prog ->
+       add_run b machine (run_on f prog);
+       Buffer.add_string b (region_contents f scratch))
+    [ p; fst (Sandbox.apply p) ]
+
+(* Seeds 0-79: one fused transfer per random pipe stack. *)
+let golden_dilp b seed =
+  let rng = Rng.create (seed + 17) in
+  let stack = gen_stack rng in
+  let len = 4 * (1 + Rng.int rng 128) in
+  let payload = Bytes.create len in
+  Rng.fill_bytes rng payload;
+  let pl = Pipe.Pipelist.create () in
+  List.iter
+    (fun pd ->
+       match pd with
+       | Cksum -> ignore (Pipelib.cksum32 pl)
+       | Bswap32 -> ignore (Pipelib.byteswap32 pl)
+       | Bswap16 -> ignore (Pipelib.byteswap16 pl)
+       | Xor _ -> ignore (Pipelib.xor_cipher pl)
+       | Count -> ignore (Pipelib.word_count pl)
+       | Ident -> ignore (Pipelib.identity pl)
+       | Add8 c -> ignore (Pipelib.add_const8 pl c))
+    stack;
+  let compiled = Dilp.compile pl Dilp.Write in
+  let machine = Machine.create Costs.decstation in
+  let mem = Machine.mem machine in
+  let src = Memory.alloc mem ~name:"src" len in
+  let dst = Memory.alloc mem ~name:"dst" len in
+  Memory.blit_from_bytes mem ~src:payload ~src_off:0 ~dst:src.Memory.base ~len;
+  add_run b machine
+    (Dilp.execute machine compiled ~src:src.Memory.base ~dst:dst.Memory.base
+       ~len);
+  Buffer.add_string b (Memory.read_string mem ~addr:dst.Memory.base ~len)
 
 let gen_filter rng =
   let natoms = 1 + Rng.int rng 4 in
@@ -513,48 +484,42 @@ let gen_filter rng =
       let bound = 1 lsl (8 * width) in
       Dpf.atom ~offset ~width (Rng.int rng bound))
 
-let prop_dpf_backends_agree =
-  QCheck.Test.make ~name:"DPF filter evaluation agrees across backends"
-    ~count:120 QCheck.small_nat (fun seed ->
-      let rng = Rng.create (seed + 23) in
-      let filter = gen_filter rng in
-      let packet = Bytes.create msg_len in
-      Rng.fill_bytes rng packet;
-      (* Half the time, force a match so the Commit path is exercised. *)
-      (if Rng.int rng 2 = 0 then
-         List.iter
-           (fun (a : Dpf.atom) ->
-              if a.Dpf.offset + a.Dpf.width <= msg_len then
-                for i = 0 to a.Dpf.width - 1 do
-                  Bytes.set packet (a.Dpf.offset + i)
-                    (Char.chr
-                       ((a.Dpf.value lsr (8 * (a.Dpf.width - 1 - i)))
-                        land 0xff))
-                done)
-           filter);
-      let prep = Exec.prepare (Dpf.compile filter) in
-      let setup () =
-        let machine = Machine.create Costs.decstation in
-        let mem = Machine.mem machine in
-        let buf = Memory.alloc mem ~name:"pkt" msg_len in
-        Memory.blit_from_bytes mem ~src:packet ~src_off:0 ~dst:buf.Memory.base
-          ~len:msg_len;
-        (machine, buf)
-      in
-      let ma, bufa = setup () and mb, bufb = setup () in
-      let accept_a =
-        Dpf.run_prepared ~backend:Exec.Interpreter ma prep
-          ~msg_addr:bufa.Memory.base ~msg_len
-      in
-      let accept_b =
-        Dpf.run_prepared ~backend:Exec.Compiled mb prep
-          ~msg_addr:bufb.Memory.base ~msg_len
-      in
-      if accept_a <> accept_b then
-        QCheck.Test.fail_reportf "accept differs: %b vs %b" accept_a accept_b;
-      if Machine.consumed_cycles ma <> Machine.consumed_cycles mb then
-        QCheck.Test.fail_report "dpf: machine cycle meters diverged";
-      accept_a = Dpf.matches packet filter)
+(* Seeds 0-119: a random filter against a random packet, half the time
+   forced to match so the Commit path is exercised. Fields past the end
+   of the packet kill the filter, which rejects. *)
+let golden_dpf b seed =
+  let rng = Rng.create (seed + 23) in
+  let filter = gen_filter rng in
+  let packet = Bytes.create msg_len in
+  Rng.fill_bytes rng packet;
+  (if Rng.int rng 2 = 0 then
+     List.iter
+       (fun (a : Dpf.atom) ->
+          if a.Dpf.offset + a.Dpf.width <= msg_len then
+            for i = 0 to a.Dpf.width - 1 do
+              Bytes.set packet (a.Dpf.offset + i)
+                (Char.chr
+                   ((a.Dpf.value lsr (8 * (a.Dpf.width - 1 - i))) land 0xff))
+            done)
+       filter);
+  let machine = Machine.create Costs.decstation in
+  let mem = Machine.mem machine in
+  let buf = Memory.alloc mem ~name:"pkt" msg_len in
+  Memory.blit_from_bytes mem ~src:packet ~src_off:0 ~dst:buf.Memory.base
+    ~len:msg_len;
+  let accept =
+    Dpf.run_compiled machine (Dpf.compile filter) ~msg_addr:buf.Memory.base
+      ~msg_len
+  in
+  if accept <> Dpf.matches packet filter then
+    Alcotest.failf "seed %d: compiled filter disagrees with the reference"
+      seed;
+  Buffer.add_string b (if accept then "accept;" else "reject;");
+  add_int b (Machine.consumed_cycles machine)
+
+let golden name ~seeds f expected =
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check string) name expected (digest seeds f))
 
 let () =
   Alcotest.run "differential"
@@ -569,10 +534,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_dilp_matches_sequential;
           QCheck_alcotest.to_alcotest prop_dilp_matches_baseline_passes;
         ] );
-      ( "backends",
+      ( "golden",
         [
-          QCheck_alcotest.to_alcotest prop_backends_agree;
-          QCheck_alcotest.to_alcotest prop_dilp_backends_agree;
-          QCheck_alcotest.to_alcotest prop_dpf_backends_agree;
+          golden "VM runs, unsafe and sandboxed" ~seeds:150 golden_vm
+            "1f59db6c4a75fb864df0ed8f993a133a";
+          golden "DILP transfers" ~seeds:80 golden_dilp
+            "abd6535582b8f2ff11d73d100bb44b4c";
+          golden "DPF filters" ~seeds:120 golden_dpf
+            "f855442b2f75aef02ed59a9303aff5db";
         ] );
     ]

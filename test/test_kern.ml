@@ -514,7 +514,7 @@ let test_kernel_handler_cache_shares_artifact () =
   Alcotest.(check int) "one hit" 1 st.Kernel.hits;
   Alcotest.(check int) "one entry" 1 st.Kernel.entries;
   Alcotest.(check bool) "physically shared artifact" true
-    (Kernel.ash_prepared srv id1 == Kernel.ash_prepared srv id2);
+    (Kernel.ash_program srv id1 == Kernel.ash_program srv id2);
   (* Cache hits share the sandboxing stats too. *)
   Alcotest.(check bool) "sandbox stats shared" true
     (Kernel.ash_sandbox_stats srv id1 = Kernel.ash_sandbox_stats srv id2)
@@ -540,9 +540,9 @@ let test_kernel_handler_cache_key_includes_policy () =
   Alcotest.(check int) "three distinct entries" 3 st.Kernel.entries;
   Alcotest.(check int) "no hits" 0 st.Kernel.hits;
   Alcotest.(check bool) "sandboxed and unsafe artifacts differ" true
-    (Kernel.ash_prepared srv id_sand != Kernel.ash_prepared srv id_unsafe);
+    (Kernel.ash_program srv id_sand != Kernel.ash_program srv id_unsafe);
   Alcotest.(check bool) "policy variants differ" true
-    (Kernel.ash_prepared srv id_sand != Kernel.ash_prepared srv id_narrow);
+    (Kernel.ash_program srv id_sand != Kernel.ash_program srv id_narrow);
   (* hardwired is dispatch cost only, NOT part of the key. *)
   (match Kernel.download_ash srv ~hardwired:true prog with
    | Ok _ -> ()
@@ -566,7 +566,7 @@ let test_kernel_teardown_evicts_cache () =
   let st = Kernel.handler_cache_stats srv in
   Alcotest.(check int) "re-download misses" 2 st.Kernel.misses;
   Alcotest.(check int) "one live entry again" 1 st.Kernel.entries;
-  ignore (Kernel.ash_prepared srv id)
+  ignore (Kernel.ash_program srv id)
 
 let test_kernel_cached_handler_still_runs () =
   (* End to end: the second, cache-hitting download is a working handler. *)
@@ -616,7 +616,7 @@ let test_download_memo_across_kernels () =
     (Kernel.ash_sandbox_stats k1 id1 = Kernel.ash_sandbox_stats k2 id2
      && Kernel.ash_sandbox_stats k1 id1 <> None);
   Alcotest.(check bool) "one artifact across kernels" true
-    (Kernel.ash_prepared k1 id1 == Kernel.ash_prepared k2 id2);
+    (Kernel.ash_program k1 id1 == Kernel.ash_program k2 id2);
   (* A rejected program is never memoised: both kernels re-verify it and
      get the same error, and neither counts a download. *)
   let bad =

@@ -332,7 +332,7 @@ let test_meter_drain () =
   Alcotest.(check int) "monotonic total" 40 (Machine.consumed_cycles m)
 
 (* The simulated memory path allocates nothing on the host. Checked on
-   the native backend only: bytecode boxes what native code keeps in
+   native code only: bytecode boxes what native code keeps in
    registers. *)
 let check_no_alloc what f =
   if Sys.backend_type = Sys.Native then begin

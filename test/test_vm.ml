@@ -622,6 +622,97 @@ let test_counts_sandboxed_vs_not () =
   Alcotest.(check bool) "costs more cycles" true
     (rs.Interp.cycles > r.Interp.cycles)
 
+(* The interpreter charges each instruction inline; the charges must be
+   the ISA's cost table, plus the per-check overhead for sandbox checks. *)
+let test_charges_match_base_cycles () =
+  let f = fixture () in
+  let extra = costs.Costs.sandboxed_insn_extra_cycles in
+  let regs_init = [ (1, 1); (2, 7); (9, f.buf.Memory.base) ] in
+  List.iter
+    (fun insn ->
+       let p = Program.make ~name:"cost" [| insn; Isa.Halt |] in
+       let r = run ~regs_init f p in
+       let expected =
+         Isa.base_cycles insn + Isa.base_cycles Isa.Halt
+         + if Isa.is_sandbox_check insn then extra else 0
+       in
+       Alcotest.(check int)
+         (Format.asprintf "%a" Isa.pp insn)
+         expected r.Interp.cycles)
+    Isa.
+      [ Li (3, 5); Mov (3, 1); Add (3, 1, 2); Addi (3, 1, 4); Sub (3, 2, 1);
+        Mul (3, 1, 2); Divu (3, 2, 1); Remu (3, 2, 1); And_ (3, 1, 2);
+        Or_ (3, 1, 2); Xor_ (3, 1, 2); Andi (3, 1, 2); Ori (3, 1, 2);
+        Xori (3, 1, 2); Sll (3, 1, 2); Srl (3, 2, 1); Sltu (3, 1, 2);
+        Beq (1, 2, 1); Bne (1, 2, 1); Bltu (1, 2, 1); Bgeu (1, 2, 1);
+        Jmp 1; Jr 1; Call K_msg_len; Cksum32 (3, 2); Bswap16 (3, 2);
+        Bswap32 (3, 2); Adds (3, 1, 2); Check_addr (9, 0, 4); Check_div 2;
+        Check_jump 1; Gas_probe ];
+  let fadd = run f (Program.make ~name:"fp" [| Isa.Fadd (3, 1, 2) |]) in
+  Alcotest.(check int) "fadd charged before the kill"
+    (Isa.base_cycles (Isa.Fadd (3, 1, 2)))
+    fadd.Interp.cycles
+
+(* A run allocates its register file and its result, and nothing per
+   instruction: the same minor words for 1 instruction as for 1000,
+   unsafe or sandboxed. Native code only, as in test_sim. *)
+let long_program f n =
+  let code = Array.make n Isa.Halt in
+  code.(0) <- Isa.Li (9, f.buf.Memory.base);
+  code.(1) <- Isa.Li (7, 3);
+  code.(2) <- Isa.Addi (7, 7, -1);
+  code.(3) <- Isa.Bne (7, 0, 2); (* a back edge: sandboxing adds a probe *)
+  code.(4) <- Isa.Li (8, 7);
+  for i = 5 to n - 2 do
+    let off = 4 * (i mod 64) in
+    code.(i) <-
+      (match i mod 9 with
+       | 0 -> Isa.Addi (1, 1, 3)
+       | 1 -> Isa.Ld32 (2, 9, off)
+       | 2 -> Isa.St32 (1, 9, off)
+       | 3 -> Isa.Xor_ (3, 1, 2)
+       | 4 -> Isa.Mul (4, 3, 1)
+       | 5 -> Isa.Divu (5, 4, 8)
+       | 6 -> Isa.Bswap32 (6, 5)
+       | 7 -> Isa.Cksum32 (6, 2)
+       | _ -> Isa.Beq (0, 1, i + 1))
+  done;
+  Program.make ~name:"long" code
+
+let test_run_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let f = fixture () in
+    let e = env f in
+    let words p =
+      ignore (Interp.run e p);
+      let before = Gc.minor_words () in
+      let r = Interp.run e p in
+      let after = Gc.minor_words () in
+      Alcotest.(check outcome_t) "completes" Interp.Returned r.Interp.outcome;
+      (int_of_float (after -. before), r)
+    in
+    let one = Program.make ~name:"one" [| Isa.Halt |] in
+    let big = long_program f 1000 in
+    let sandboxed_big = fst (Sandbox.apply big) in
+    let base, _ = words one in
+    Alcotest.(check bool) "runs 1000 instructions" true
+      ((snd (words big)).Interp.insns >= 1000);
+    Alcotest.(check bool) "runs sandbox checks" true
+      ((snd (words sandboxed_big)).Interp.check_insns > 0);
+    List.iter
+      (fun (what, p) ->
+         Alcotest.(check int) (what ^ ": minor words per run") base
+           (fst (words p)))
+      [
+        ("1 insn, sandboxed", fst (Sandbox.apply one));
+        ("1000 insns, unsafe", big);
+        ("1000 insns, sandboxed", sandboxed_big);
+      ];
+    Alcotest.(check bool)
+      (Printf.sprintf "%d words per run, at most 48" base)
+      true (base <= 48)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Assembler                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -890,6 +981,10 @@ let () =
         [
           Alcotest.test_case "sandboxed vs plain counts" `Quick
             test_counts_sandboxed_vs_not;
+          Alcotest.test_case "charges match base cycles" `Quick
+            test_charges_match_base_cycles;
+          Alcotest.test_case "no allocation per instruction" `Quick
+            test_run_allocation;
         ] );
       ( "asm",
         [
