@@ -534,7 +534,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_dilp_matches_sequential;
           QCheck_alcotest.to_alcotest prop_dilp_matches_baseline_passes;
         ] );
-      ( "golden",
+      ( "recorded",
         [
           golden "VM runs, unsafe and sandboxed" ~seeds:150 golden_vm
             "1f59db6c4a75fb864df0ed8f993a133a";
