@@ -5,22 +5,19 @@
    [regress] compares a fresh results file against the most recent
    baseline entry with tolerance bands.
 
-   Metrics come in two kinds. {e Virtual}-time metrics (simulated
-   latencies, speedup ratios) are deterministic for a given seed, so a
-   drift beyond the band is a real regression and fails the check.
-   {e Host}-time metrics (bechamel wall clock, tracer/telemetry
-   overhead ratios) move with the machine and its load, so they only
-   warn unless [~strict_host:true] is passed. *)
+   Every headline is a virtual-time metric (simulated latencies,
+   speedup ratios, goodput), deterministic for a given seed, so a drift
+   beyond the band is a real regression and fails the check, and so
+   does a headline missing from the results (a renamed row must not
+   switch the gate off). Host cost is measured by perfbench/, not
+   here. *)
 
 module Minijson = Ash_util.Minijson
 
 let schema = "ashs-bench-history/1"
 
-type kind = Virtual | Host
-
 type metric = {
   m_key : string;  (* stable id used in history entries *)
-  m_kind : kind;
   m_tol : float;  (* allowed fractional drift vs baseline *)
   m_extract : Minijson.t -> float option;  (* from a results document *)
 }
@@ -45,14 +42,6 @@ let table_row results ~table ~label =
             rows
         | _ -> None))
 
-let nested results path =
-  let rec go v = function
-    | [] -> Minijson.to_float v
-    | k :: rest ->
-      (match Minijson.mem k v with Some v' -> go v' rest | None -> None)
-  in
-  go results path
-
 (* The headline set: one representative per subsystem the benchmarks
    exercise. Row labels are matched after trimming the report's column
    padding. *)
@@ -60,7 +49,6 @@ let headline =
   [
     {
       m_key = "exp_scale.rtt_p50_us.1024conns";
-      m_kind = Virtual;
       m_tol = 0.05;
       m_extract =
         (fun r ->
@@ -68,7 +56,6 @@ let headline =
     };
     {
       m_key = "exp_multicore.speedup_4core";
-      m_kind = Virtual;
       m_tol = 0.05;
       m_extract =
         (fun r ->
@@ -76,40 +63,15 @@ let headline =
     };
     {
       m_key = "exp_mq.goodput_5pct_loss";
-      m_kind = Virtual;
       m_tol = 0.05;
       m_extract =
         (fun r -> table_row r ~table:"exp_mq" ~label:"goodput | 5% loss");
     };
     {
       m_key = "exp_mq.failover_blackout_ms";
-      m_kind = Virtual;
       m_tol = 0.05;
       m_extract =
         (fun r -> table_row r ~table:"exp_mq" ~label:"failover | blackout");
-    };
-    {
-      m_key = "table6.tcp_roundtrip_ns";
-      m_kind = Host;
-      m_tol = 0.50;
-      m_extract =
-        (fun r ->
-          nested r [ "bechamel_ns_per_run"; "ashs/table6.tcp_roundtrip" ]);
-    };
-    {
-      m_key = "tracer.spans_over_off";
-      m_kind = Host;
-      m_tol = 0.35;
-      m_extract =
-        (fun r -> nested r [ "tracer_overhead_ns_per_run"; "spans_over_off" ]);
-    };
-    {
-      m_key = "telemetry.sampled_over_off";
-      m_kind = Host;
-      m_tol = 0.15;
-      m_extract =
-        (fun r ->
-          nested r [ "telemetry_overhead_ns_per_run"; "sampled_over_off" ]);
     };
   ]
 
@@ -240,7 +202,6 @@ type status = Pass | Warn | Fail
 
 type check = {
   c_key : string;
-  c_kind : kind;
   c_tol : float;
   c_base : float option;
   c_now : float option;
@@ -265,15 +226,19 @@ let pick_baseline entries ~rev =
   | b :: _ -> Some b
   | [] -> (match List.rev entries with b :: _ -> Some b | [] -> None)
 
-let check_metric ~strict_host ~baseline m now_v =
+(* A headline missing from the results fails: every headline is
+   deterministic, so its absence means a renamed row or a dropped
+   experiment. A missing baseline only warns, so a newly added headline
+   passes until its first history entry lands. *)
+let check_metric ~baseline m now_v =
   let base_v = List.assoc_opt m.m_key baseline.e_metrics in
   match (base_v, now_v) with
-  | None, _ ->
-    { c_key = m.m_key; c_kind = m.m_kind; c_tol = m.m_tol; c_base = None;
-      c_now = now_v; c_status = Warn; c_note = "no baseline value" }
   | _, None ->
-    { c_key = m.m_key; c_kind = m.m_kind; c_tol = m.m_tol; c_base = base_v;
-      c_now = None; c_status = Warn; c_note = "missing from results" }
+    { c_key = m.m_key; c_tol = m.m_tol; c_base = base_v; c_now = None;
+      c_status = Fail; c_note = "missing from results" }
+  | None, Some _ ->
+    { c_key = m.m_key; c_tol = m.m_tol; c_base = None; c_now = now_v;
+      c_status = Warn; c_note = "no baseline value" }
   | Some b, Some n ->
     let drift =
       if Float.abs b > 1e-12 then Float.abs (n -. b) /. Float.abs b
@@ -282,15 +247,10 @@ let check_metric ~strict_host ~baseline m now_v =
     let note = Printf.sprintf "drift %.1f%% (band %.0f%%)"
         (100. *. drift) (100. *. m.m_tol)
     in
-    let status =
-      if drift <= m.m_tol then Pass
-      else if m.m_kind = Host && not strict_host then Warn
-      else Fail
-    in
-    { c_key = m.m_key; c_kind = m.m_kind; c_tol = m.m_tol; c_base = Some b;
-      c_now = Some n; c_status = status; c_note = note }
+    { c_key = m.m_key; c_tol = m.m_tol; c_base = Some b; c_now = Some n;
+      c_status = (if drift <= m.m_tol then Pass else Fail); c_note = note }
 
-let regress ?(strict_host = false) ~results_path ~history_path () =
+let regress ~results_path ~history_path =
   if not (Sys.file_exists results_path) then
     Error (Printf.sprintf "no results file at %s" results_path)
   else if not (Sys.file_exists history_path) then
@@ -309,7 +269,7 @@ let regress ?(strict_host = false) ~results_path ~history_path () =
          let checks =
            List.map
              (fun m ->
-                check_metric ~strict_host ~baseline m (m.m_extract results))
+                check_metric ~baseline m (m.m_extract results))
              headline
          in
          Ok
@@ -326,8 +286,6 @@ let status_label = function
   | Warn -> "warn"
   | Fail -> "FAIL"
 
-let kind_label = function Virtual -> "virtual" | Host -> "host"
-
 let print_report ppf r =
   let short s = if String.length s > 12 then String.sub s 0 12 else s in
   Format.fprintf ppf "regression check: %s vs baseline %s@."
@@ -335,8 +293,7 @@ let print_report ppf r =
   List.iter
     (fun c ->
        let v = function Some f -> Printf.sprintf "%.4g" f | None -> "-" in
-       Format.fprintf ppf "  %-4s %-34s %-7s base %-12s now %-12s %s@."
-         (status_label c.c_status) c.c_key (kind_label c.c_kind)
-         (v c.c_base) (v c.c_now) c.c_note)
+       Format.fprintf ppf "  %-4s %-34s base %-12s now %-12s %s@."
+         (status_label c.c_status) c.c_key (v c.c_base) (v c.c_now) c.c_note)
     r.r_checks;
   Format.fprintf ppf "  => %s@." (if r.r_ok then "pass" else "FAIL")

@@ -3,20 +3,15 @@
     fresh results file against the recorded baseline with per-metric
     tolerance bands. *)
 
-type kind =
-  | Virtual  (** deterministic simulated metric — drift fails the check *)
-  | Host  (** host wall-clock metric — drift warns unless strict *)
-
 type metric = {
   m_key : string;
-  m_kind : kind;
   m_tol : float;  (** allowed fractional drift vs baseline *)
   m_extract : Ash_util.Minijson.t -> float option;
 }
 
 val headline : metric list
-(** The tracked set: scale-suite p50, multicore speedup, tcp_roundtrip
-    host cost, tracer and telemetry overhead ratios. *)
+(** The tracked set, all virtual-time: scale-suite p50, multicore
+    speedup, MQ goodput at 5% loss and failover blackout. *)
 
 val extract : Ash_util.Minijson.t -> (string * float) list
 (** Headline metrics present in a parsed results document. *)
@@ -41,7 +36,6 @@ type status = Pass | Warn | Fail
 
 type check = {
   c_key : string;
-  c_kind : kind;
   c_tol : float;
   c_base : float option;
   c_now : float option;
@@ -57,15 +51,11 @@ type report = {
 }
 
 val regress :
-  ?strict_host:bool ->
-  results_path:string ->
-  history_path:string ->
-  unit ->
-  (report, string) result
+  results_path:string -> history_path:string -> (report, string) result
 (** Compare results against the newest history entry from a different
-    revision (falling back to the newest entry). [Virtual] metrics
-    outside their band fail; [Host] metrics warn unless
-    [strict_host]. [Error] carries a human-readable reason (missing
-    file, empty history, parse error). *)
+    revision (falling back to the newest entry). A headline outside its
+    band or missing from the results fails; one with no baseline value
+    warns. [Error] carries a human-readable reason (missing file, empty
+    history, parse error). *)
 
 val print_report : Format.formatter -> report -> unit

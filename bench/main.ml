@@ -1,19 +1,16 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (paper-vs-measured), then runs one Bechamel
-   micro-benchmark per table measuring the host-side cost of the
-   simulation kernel behind it.
+   paper's evaluation (paper-vs-measured). Every number it prints is
+   simulated (virtual time), so two runs print the same text; the
+   host-side cost of the simulation is measured by perfbench/.
 
    Usage:
      main.exe                 run everything
      main.exe table5 fig3     run selected experiments
-     main.exe --no-bechamel   skip the Bechamel section
      main.exe --markdown      additionally dump Markdown for EXPERIMENTS.md
      main.exe --no-json       don't write BENCH_results.json *)
 
 module Core = Ash_core
 module Report = Core.Report
-module Lab = Core.Lab
-module Tcp = Ash_proto.Tcp
 
 let experiments : (string * (unit -> Report.table)) list =
   [
@@ -37,199 +34,6 @@ let experiments : (string * (unit -> Report.table)) list =
     ("exp_mq", Core.Exp_mq.mq);
   ]
 
-(* -- Bechamel: host-side cost of each experiment's simulation kernel -- *)
-
-open Bechamel
-open Toolkit
-
-let staged_kernels : (string * (unit -> unit)) list =
-  [
-    ("table1.pingpong", fun () -> ignore (Lab.raw_pingpong ~iters:2 Lab.Srv_user));
-    ( "fig3.train",
-      fun () -> ignore (Lab.raw_train_throughput ~size:1024 ~count:16 ()) );
-    ( "table2.udp_latency",
-      fun () ->
-        ignore (Lab.udp_latency ~checksum:true ~in_place:false ~medium:`An2 ())
-    );
-    ("table3.model_copy", fun () -> ignore (Core.Exp_memory.single_copy ()));
-    ("table4.dilp_fused", fun () -> ignore (Core.Exp_ilp.dilp ~bswap:true ()));
-    ( "table5.remote_increment",
-      fun () ->
-        ignore (Lab.remote_increment ~iters:2 (Lab.Srv_ash { sandbox = true }))
-    );
-    ( "table6.tcp_roundtrip",
-      fun () ->
-        ignore
-          (Lab.tcp_latency
-             ~mode:(Tcp.Fast_ash { sandbox = true })
-             ~checksum:true ~iters:2 ()) );
-    ( "fig4.scheduled_increment",
-      fun () ->
-        ignore
-          (Lab.remote_increment ~iters:2 ~nprocs:4 Lab.Srv_user) );
-    ( "sandbox.remote_write",
-      fun () ->
-        ignore
-          (Core.Exp_sandbox.run_once ~variant:Core.Exp_sandbox.Specific
-             ~sandboxed:true ~payload_len:40 ()) );
-    ( "dpf.demux16",
-      fun () ->
-        ignore (Core.Exp_ablate.demux_cycles ~compiled:true ~nfilters:16) );
-    ( "demux.trie16",
-      fun () -> ignore (Core.Exp_ablate.demux_cycles_trie ~nfilters:16) );
-    ( "dilp-scaling.4pipes",
-      fun () -> ignore (Core.Exp_ilp.dilp_n_pipes 4 ()) );
-    ( "striped.one_pass",
-      fun () -> ignore (Core.Exp_ablate.striped_one_pass ~len:1440 ()) );
-    ( "exp_scale.churn8",
-      fun () ->
-        ignore
-          (Core.Exp_scale.run_churn
-             { Core.Exp_scale.default_spec with
-               connections = 8;
-               client_hosts = 4;
-               rounds = 2 }) );
-    ("exp_mq.produce_chain", fun () -> ignore (Core.Exp_mq.smoke ()));
-  ]
-
-let bechamel_tests =
-  Test.make_grouped ~name:"ashs"
-    (List.map
-       (fun (name, f) -> Test.make ~name (Staged.stage f))
-       staged_kernels)
-
-let run_bechamel () =
-  let cfg =
-    Benchmark.cfg ~limit:200 ~stabilize:false
-      ~quota:(Time.second 0.2) ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] bechamel_tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Format.printf
-    "@.=== Bechamel: host cost of simulation kernels (wall time per run) \
-     ===@.";
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
-  List.filter_map
-    (fun (name, ols_result) ->
-       match Analyze.OLS.estimates ols_result with
-       | Some [ est ] when est > 0. ->
-         let pretty =
-           if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-           else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-           else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-           else Printf.sprintf "%.0f ns" est
-         in
-         Format.printf "  %-32s %12s@." name pretty;
-         Some (name, est)
-       | _ ->
-         Format.printf "  %-32s %12s@." name "n/a";
-         None)
-    rows
-
-(* -- Tracer overhead: off vs counters-only vs full spans --------------- *)
-
-(* Host wall-clock cost of the observability layer itself, measured on a
-   handler-heavy kernel. "counters" installs a recorder but samples spans
-   out (set_span_sample max_int: exact counters, no span events);
-   "spans" traces every message. The acceptance bar is spans < 2x off. *)
-let tracer_overhead_kernel () =
-  ignore (Lab.remote_increment ~iters:16 (Lab.Srv_ash { sandbox = true }))
-
-let run_tracer_overhead () =
-  let module Trace = Ash_obs.Trace in
-  let reps = 20 in
-  let timed f =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e9
-  in
-  (* Steady-state cost: the recorder is installed before the timed pass
-     and stays live across it, as in a traced experiment run. *)
-  let recorded sample =
-    Trace.set_span_sample sample;
-    let r = Trace.record ~capacity:8192 () in
-    let ns = timed tracer_overhead_kernel in
-    Trace.stop r;
-    Trace.set_span_sample 1;
-    ns
-  in
-  tracer_overhead_kernel (); (* warm up *)
-  let off_ns = ref infinity in
-  let counters_ns = ref infinity in
-  let spans_ns = ref infinity in
-  (* Interleaved rounds, min per mode: host-load phases hit every mode
-     equally instead of biasing whichever ran last. *)
-  for _ = 1 to 5 do
-    off_ns := min !off_ns (timed tracer_overhead_kernel);
-    counters_ns := min !counters_ns (recorded max_int);
-    spans_ns := min !spans_ns (recorded 1)
-  done;
-  let off_ns = !off_ns
-  and counters_ns = !counters_ns
-  and spans_ns = !spans_ns in
-  let ratio = spans_ns /. off_ns in
-  Format.printf
-    "@.=== Tracer overhead (host wall time per run, table5 kernel) ===@.";
-  Format.printf "  %-32s %10.0f ns@." "tracing off" off_ns;
-  Format.printf "  %-32s %10.0f ns@." "counters only" counters_ns;
-  Format.printf "  %-32s %10.0f ns   x%.2f vs off@." "full spans" spans_ns
-    ratio;
-  Some (off_ns, counters_ns, spans_ns)
-
-(* -- Telemetry overhead: sampling scheduler on vs off ------------------ *)
-
-(* Host wall-clock cost of the time-series sampler, measured on the
-   table6 TCP kernel (the handler-heaviest networked workload). "off" is
-   the kernel with no ambient Timeseries; "sampled" installs one at the
-   default grid pitch so every engine step pays the tick check and each
-   crossed grid point snapshots every registered source. The acceptance
-   bar is sampled <= 1.10x off. *)
-let telemetry_overhead_kernel () =
-  ignore
-    (Lab.tcp_latency
-       ~mode:(Tcp.Fast_ash { sandbox = true })
-       ~checksum:true ~iters:16 ())
-
-let run_telemetry_overhead () =
-  let reps = 20 in
-  let timed f =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps *. 1e9
-  in
-  let sampled () =
-    let ts = Ash_obs.Timeseries.create () in
-    Ash_obs.Timeseries.set_current ts;
-    let ns = timed telemetry_overhead_kernel in
-    Ash_obs.Timeseries.clear_current ();
-    ns
-  in
-  telemetry_overhead_kernel (); (* warm up *)
-  let off_ns = ref infinity in
-  let sampled_ns = ref infinity in
-  for _ = 1 to 5 do
-    off_ns := min !off_ns (timed telemetry_overhead_kernel);
-    sampled_ns := min !sampled_ns (sampled ())
-  done;
-  let off_ns = !off_ns and sampled_ns = !sampled_ns in
-  let ratio = sampled_ns /. off_ns in
-  Format.printf
-    "@.=== Telemetry overhead (host wall time per run, table6 kernel) ===@.";
-  Format.printf "  %-32s %10.0f ns@." "sampling off" off_ns;
-  Format.printf "  %-32s %10.0f ns   x%.2f vs off@." "sampling on" sampled_ns
-    ratio;
-  Some (off_ns, sampled_ns)
-
 (* -- BENCH_results.json ------------------------------------------------ *)
 
 let json_escape s =
@@ -248,8 +52,8 @@ let json_escape s =
 
 let json_float f = Printf.sprintf "%.6g" f
 
-(* Run metadata: enough to interpret host-dependent rows (the wall-clock
-   section of exp_multicore) when the JSON is compared across machines. *)
+(* Run metadata: the revision keys the history entry; shards and jobs
+   record the execution mapping (tables are identical at any jobs). *)
 let git_rev () =
   try
     let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
@@ -264,15 +68,13 @@ let env_int name default =
   | Some v -> ( match int_of_string_opt v with Some n -> n | None -> default)
   | None -> default
 
-let write_results_json ~path ~tables ~bechamel ~tracer ~telemetry =
+let write_results_json ~path ~tables =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n";
   add "  \"schema\": \"ashs-bench-results/1\",\n";
-  add "  \"meta\": {\"shards\": %d, \"jobs\": %d, \"host_cores\": %d, \
-       \"git_rev\": \"%s\"},\n"
+  add "  \"meta\": {\"shards\": %d, \"jobs\": %d, \"git_rev\": \"%s\"},\n"
     (env_int "ASH_SHARDS" 1) (env_int "ASH_JOBS" 1)
-    (Domain.recommended_domain_count ())
     (json_escape (git_rev ()));
   add "  \"tables\": {\n";
   List.iteri
@@ -298,48 +100,28 @@ let write_results_json ~path ~tables ~bechamel ~tracer ~telemetry =
        add "      ]\n";
        add "    }%s\n" (if i = List.length tables - 1 then "" else ","))
     tables;
-  add "  },\n";
-  add "  \"bechamel_ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, est) ->
-       add "    \"%s\": %s%s\n" (json_escape name) (json_float est)
-         (if i = List.length bechamel - 1 then "" else ","))
-    bechamel;
-  add "  },\n";
-  (match tracer with
-   | None -> add "  \"tracer_overhead_ns_per_run\": null,\n"
-   | Some (off_ns, counters_ns, spans_ns) ->
-     add
-       "  \"tracer_overhead_ns_per_run\": {\"off\": %s, \"counters\": %s, \
-        \"spans\": %s, \"spans_over_off\": %s},\n"
-       (json_float off_ns) (json_float counters_ns) (json_float spans_ns)
-       (json_float (spans_ns /. off_ns)));
-  (match telemetry with
-   | None -> add "  \"telemetry_overhead_ns_per_run\": null\n"
-   | Some (off_ns, sampled_ns) ->
-     add
-       "  \"telemetry_overhead_ns_per_run\": {\"off\": %s, \"sampled\": %s, \
-        \"sampled_over_off\": %s}\n"
-       (json_float off_ns) (json_float sampled_ns)
-       (json_float (sampled_ns /. off_ns)));
+  add "  }\n";
   add "}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents b);
   close_out oc;
   Format.printf "@.results written to %s@." path
 
+let flags = [ "--markdown"; "--no-json" ]
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let no_bechamel = List.mem "--no-bechamel" args in
-  let markdown = List.mem "--markdown" args in
-  let no_json = List.mem "--no-json" args in
-  let rec drop_flag_args = function
-    | a :: rest when String.length a > 2 && String.sub a 0 2 = "--" ->
-      drop_flag_args rest
-    | a :: rest -> a :: drop_flag_args rest
-    | [] -> []
-  in
-  let selected = drop_flag_args args in
+  let given, selected = List.partition (String.starts_with ~prefix:"--") args in
+  List.iter
+    (fun a ->
+       if not (List.mem a flags) then begin
+         Format.eprintf "unknown flag %S (have: %s)@." a
+           (String.concat ", " flags);
+         exit 2
+       end)
+    given;
+  let markdown = List.mem "--markdown" given in
+  let no_json = List.mem "--no-json" given in
   let to_run =
     if selected = [] then experiments
     else
@@ -359,11 +141,8 @@ let () =
   let tables =
     List.map
       (fun (id, f) ->
-         let t0 = Unix.gettimeofday () in
          let table = f () in
          Format.printf "%a" Report.print table;
-         Format.printf "  (generated in %.1f s)@."
-           (Unix.gettimeofday () -. t0);
          (id, table))
       to_run
   in
@@ -371,12 +150,8 @@ let () =
     Format.printf "@.--- markdown ---@.";
     List.iter (fun (_, t) -> print_string (Report.to_markdown t)) tables
   end;
-  let bechamel = if no_bechamel then [] else run_bechamel () in
-  let tracer = if no_bechamel then None else run_tracer_overhead () in
-  let telemetry = if no_bechamel then None else run_telemetry_overhead () in
   if not no_json then begin
-    write_results_json ~path:"BENCH_results.json" ~tables ~bechamel ~tracer
-      ~telemetry;
+    write_results_json ~path:"BENCH_results.json" ~tables;
     (* Fold the headline metrics into the revision-keyed history so
        `ashbench regress` has a baseline to compare future runs against. *)
     let entry =

@@ -33,7 +33,7 @@ let experiments : (string * string * (unit -> Report.table)) list =
      fun () -> Core.Exp_chaos.chaos ());
     ("exp_scale", "connection churn over the many-host switched fabric",
      Core.Exp_scale.scale);
-    ("exp_multicore", "RSS-sharded server goodput vs cores; domain speedup",
+    ("exp_multicore", "RSS-sharded server goodput vs cores",
      Core.Exp_multicore.multicore);
     ("exp_mq", "replicated message queue: goodput vs loss, failover recovery",
      Core.Exp_mq.mq);
@@ -601,8 +601,8 @@ let regress_cmd =
   let doc =
     "Compare the headline benchmark metrics in a results file against \
      the recorded baseline in the history file, with per-metric \
-     tolerance bands. Virtual-time metrics outside their band fail \
-     (exit 1); host wall-clock metrics warn unless $(b,--strict-host)."
+     tolerance bands. Every headline is a virtual-time metric: one \
+     outside its band or missing from the results fails (exit 1)."
   in
   let results =
     Arg.(value & opt string "BENCH_results.json"
@@ -615,17 +615,9 @@ let regress_cmd =
            ~doc:"History file with baseline entries (default \
                  BENCH_history.json).")
   in
-  let strict_host =
-    Arg.(value & flag
-         & info [ "strict-host" ]
-           ~doc:"Also fail on host wall-clock metrics outside their \
-                 band (off by default: host numbers move with the \
-                 machine).")
-  in
-  let run results history strict_host =
+  let run results history =
     match
-      Ash_bench.History.regress ~strict_host ~results_path:results
-        ~history_path:history ()
+      Ash_bench.History.regress ~results_path:results ~history_path:history
     with
     | Error msg ->
       Format.eprintf "regress: %s@." msg;
@@ -636,7 +628,7 @@ let regress_cmd =
   in
   Cmd.v
     (Cmd.info "regress" ~doc)
-    Term.(const run $ results $ history $ strict_host)
+    Term.(const run $ results $ history)
 
 let () =
   let doc = "ASHs reproduction experiment driver" in

@@ -89,8 +89,6 @@ type binding = {
   prio : int; (* install order; lower wins on overlapping eth filters *)
 }
 
-type demux = Demux_linear | Demux_trie
-
 type tx_target = Tx_an2 of int | Tx_eth
 
 type t = {
@@ -101,7 +99,6 @@ type t = {
   absint_on : bool;
   (* Snapshot of [absint_default] taken at creation: downloads on a
      worker domain must not read the process-global knob. *)
-  mutable demux : demux;
   mutable an2 : An2.t option;
   mutable eth : Ethernet.t option;
   ashes : (int, ash) Hashtbl.t;
@@ -160,7 +157,7 @@ let absint_default = ref true
 
 let set_absint_default b = absint_default := b
 
-let create ?(demux = Demux_trie) ?(quarantine_threshold = 3)
+let create ?(quarantine_threshold = 3)
     ?(notify_queue_limit = 256) engine costs ~name =
   if quarantine_threshold < 1 then invalid_arg "Kernel.create: threshold";
   if notify_queue_limit < 1 then invalid_arg "Kernel.create: queue limit";
@@ -171,7 +168,6 @@ let create ?(demux = Demux_trie) ?(quarantine_threshold = 3)
     machine = Machine.create costs;
     kname = name;
     absint_on = !absint_default;
-    demux;
     an2 = None;
     eth = None;
     ashes = Hashtbl.create 8;
@@ -251,8 +247,6 @@ let set_notify_queue_limit t n =
 
 let costs t = t.costs
 let name t = t.kname
-let eth_demux_mode t = t.demux
-let set_eth_demux t d = t.demux <- d
 
 (* ---------------------------------------------------------------- *)
 (* Meter / transmit settlement                                       *)
@@ -973,12 +967,12 @@ let eth_order t =
     t.eth_order <- Some l;
     l
 
-(* DPF demultiplexing over the contiguous packet. Default: one walk of
-   the merged filter trie. Falls back to the linear scan when asked
-   ([Demux_linear]) or when any binding uses the interpreted filter
-   engine, whose per-filter cost the trie does not model. *)
+(* DPF demultiplexing over the contiguous packet: one walk of the
+   merged filter trie, or the linear install-order scan while any
+   binding uses the interpreted filter engine, whose per-filter cost
+   the trie does not model. *)
 let eth_demux t ~msg_addr ~msg_len =
-  if t.demux = Demux_trie && t.eth_interp_count = 0 then
+  if t.eth_interp_count = 0 then
     Dpf_trie.lookup t.eth_trie t.machine ~msg_addr ~msg_len
   else
     List.find_opt

@@ -61,26 +61,14 @@ type stats = {
   tx_frames : int;
 }
 
-type demux =
-  | Demux_linear  (** Run each installed filter's program in install
-                      order — the pre-trie baseline. *)
-  | Demux_trie    (** One walk of the merged filter trie
-                      ({!Dpf_trie}). *)
-
 val create :
-  ?demux:demux ->
   ?quarantine_threshold:int ->
   ?notify_queue_limit:int ->
   Ash_sim.Engine.t ->
   Ash_sim.Costs.t ->
   name:string ->
   t
-(** [demux] selects the Ethernet demultiplexing strategy (default
-    [Demux_trie]). It is a host-side choice: simulated numbers are
-    identical across demux modes whenever filters don't overlap in
-    cost-visible ways (a lone filter charges identically under both).
-
-    [quarantine_threshold] (default 3, must be ≥ 1) is the number of
+(** [quarantine_threshold] (default 3, must be ≥ 1) is the number of
     involuntary kills after which a handler is quarantined.
     [notify_queue_limit] (default 256, ≥ 1) bounds outstanding
     user-level notifications per VC. Both raise [Invalid_argument] on
@@ -95,10 +83,6 @@ val engine : t -> Ash_sim.Engine.t
 val machine : t -> Ash_sim.Machine.t
 val costs : t -> Ash_sim.Costs.t
 val name : t -> string
-
-val eth_demux_mode : t -> demux
-val set_eth_demux : t -> demux -> unit
-(** Switch demux strategy (tests compare the two on live bindings). *)
 
 val span_off : t -> int
 (** Span-clock offset for tracing on this node: work already charged to

@@ -1,6 +1,7 @@
 (* Ethernet demultiplexing semantics: the merged DPF trie must be an
    invisible optimisation. Overlapping filters resolve by install order
-   identically under the linear scan and the trie (kernel-level), unbind
+   identically under the linear scan (interpreted filters,
+   [~compiled:false], force it) and the trie (compiled filters), unbind
    removes exactly the one binding it names, and the trie's pure lookup
    agrees with the obvious first-match-in-priority-order reference on
    random filter sets. *)
@@ -39,15 +40,15 @@ let trial_frames =
 
 (* Install [filters] in order, send every trial frame, and return the
    sequence of filter names that handled them (one entry per delivered
-   frame; drops don't appear). *)
-let run_demux ~mode filters =
+   frame; drops don't appear). [compiled:true] demuxes through the trie,
+   [compiled:false] through the linear scan. *)
+let run_demux ~compiled filters =
   let tb = TB.create ~ethernet:true () in
   let srv = tb.TB.server.TB.kernel in
-  Kernel.set_eth_demux srv mode;
   let hits = ref [] in
   List.iter
     (fun (name, filter) ->
-       let pvc = Kernel.bind_eth_filter srv filter ~compiled:true Kernel.Deliver_user in
+       let pvc = Kernel.bind_eth_filter srv filter ~compiled Kernel.Deliver_user in
        Kernel.set_user_handler srv ~vc:pvc (fun ~addr:_ ~len:_ ->
            hits := name :: !hits))
     filters;
@@ -60,8 +61,8 @@ let run_demux ~mode filters =
 let test_overlap_install_order_trie_equals_linear () =
   List.iter
     (fun filters ->
-       let linear = run_demux ~mode:Kernel.Demux_linear filters in
-       let trie = run_demux ~mode:Kernel.Demux_trie filters in
+       let linear = run_demux ~compiled:false filters in
+       let trie = run_demux ~compiled:true filters in
        Alcotest.(check (list string)) "same winners under both engines"
          linear trie)
     (* Both install orders: the specific-first order makes f2 win the
@@ -70,10 +71,10 @@ let test_overlap_install_order_trie_equals_linear () =
   (* And pin the install-order-wins semantics explicitly. *)
   Alcotest.(check (list string)) "first installed wins"
     [ "f1"; "f1"; "f3" ]
-    (run_demux ~mode:Kernel.Demux_trie overlap_filters);
+    (run_demux ~compiled:true overlap_filters);
   Alcotest.(check (list string)) "specific first wins when installed first"
     [ "f3"; "f1"; "f3" ]
-    (run_demux ~mode:Kernel.Demux_trie (List.rev overlap_filters))
+    (run_demux ~compiled:true (List.rev overlap_filters))
 
 let test_unbind_removes_exactly_one () =
   let tb = TB.create ~ethernet:true () in
@@ -111,16 +112,15 @@ let test_unbind_removes_exactly_one () =
 
 let test_unbind_under_both_engines () =
   List.iter
-    (fun mode ->
+    (fun compiled ->
        let tb = TB.create ~ethernet:true () in
        let srv = tb.TB.server.TB.kernel in
-       Kernel.set_eth_demux srv mode;
        let hits = ref 0 in
        let vcs =
          List.map
            (fun (_, filter) ->
               let pvc =
-                Kernel.bind_eth_filter srv filter ~compiled:true
+                Kernel.bind_eth_filter srv filter ~compiled
                   Kernel.Deliver_user
               in
               Kernel.set_user_handler srv ~vc:pvc (fun ~addr:_ ~len:_ ->
@@ -134,7 +134,7 @@ let test_unbind_under_both_engines () =
        Alcotest.(check int) "all bindings gone: frame dropped" 0 !hits;
        Alcotest.(check bool) "drop counted" true
          ((Kernel.stats srv).Kernel.rx_dropped_unbound >= 1))
-    [ Kernel.Demux_linear; Kernel.Demux_trie ]
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Trie vs first-match reference on random filter sets                 *)
