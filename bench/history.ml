@@ -175,26 +175,39 @@ let utc_now () =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-(* Fold a results file into the history: one entry per revision, a
-   re-run of the same revision replaces its previous entry, and the log
-   keeps the newest [max_entries]. *)
+(* Fold a results file into the history: one entry per revision, and
+   the log keeps the newest [max_entries]. A re-run of the same revision
+   merges its headline values into that revision's entry, so a partial
+   run (say `main.exe table1`) keeps the values an earlier full run
+   recorded instead of replacing them with nothing; results holding no
+   headline leave the history untouched. *)
 let append ~results_path ~history_path =
   let results = Minijson.parse_file results_path in
-  let rev = results_rev results in
-  let metrics = extract results in
-  let entry = { e_rev = rev; e_at = utc_now (); e_metrics = metrics } in
-  let entries =
-    List.filter (fun e -> e.e_rev <> rev) (load_history history_path)
-    @ [ entry ]
-  in
-  let entries =
-    let n = List.length entries in
-    if n > max_entries then
-      List.filteri (fun i _ -> i >= n - max_entries) entries
-    else entries
-  in
-  write_history history_path entries;
-  entry
+  match extract results with
+  | [] -> None
+  | metrics ->
+    let rev = results_rev results in
+    let history = load_history history_path in
+    let earlier =
+      match List.find_opt (fun e -> e.e_rev = rev) history with
+      | Some e ->
+        List.filter (fun (k, _) -> not (List.mem_assoc k metrics)) e.e_metrics
+      | None -> []
+    in
+    let entry =
+      { e_rev = rev; e_at = utc_now (); e_metrics = earlier @ metrics }
+    in
+    let entries =
+      List.filter (fun e -> e.e_rev <> rev) history @ [ entry ]
+    in
+    let entries =
+      let n = List.length entries in
+      if n > max_entries then
+        List.filteri (fun i _ -> i >= n - max_entries) entries
+      else entries
+    in
+    write_history history_path entries;
+    Some entry
 
 (* -- Regression check -------------------------------------------------- *)
 

@@ -26,11 +26,14 @@ val load_history : string -> entry list
 (** Entries of a history file, oldest first; [[]] when absent or
     unreadable. *)
 
-val append : results_path:string -> history_path:string -> entry
+val append : results_path:string -> history_path:string -> entry option
 (** Fold the results file into the history file (creating it if
-    needed): one entry per revision — a re-run of the same revision
-    replaces its entry — keeping the newest 200. Returns the entry
-    written. Raises on an unreadable results file. *)
+    needed): one entry per revision, keeping the newest 200. A re-run of
+    the same revision merges its headline values into that revision's
+    entry, so values the run lacks keep their earlier ones. Returns the
+    entry written, or [None] when the results hold no headline (the
+    history is then left untouched). Raises on an unreadable results
+    file. *)
 
 type status = Pass | Warn | Fail
 

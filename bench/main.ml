@@ -154,11 +154,13 @@ let () =
     write_results_json ~path:"BENCH_results.json" ~tables;
     (* Fold the headline metrics into the revision-keyed history so
        `ashbench regress` has a baseline to compare future runs against. *)
-    let entry =
+    match
       Ash_bench.History.append ~results_path:"BENCH_results.json"
         ~history_path:"BENCH_history.json"
-    in
-    Format.printf "history entry recorded for %s (%d metric(s))@."
-      entry.Ash_bench.History.e_rev
-      (List.length entry.Ash_bench.History.e_metrics)
+    with
+    | Some entry ->
+      Format.printf "history entry recorded for %s (%d metric(s))@."
+        entry.Ash_bench.History.e_rev
+        (List.length entry.Ash_bench.History.e_metrics)
+    | None -> Format.printf "no headline metric in results; history unchanged@."
   end

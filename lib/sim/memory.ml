@@ -12,7 +12,8 @@ type t = {
   mutable regions : region array; (* sorted by base *)
   mutable count : int;
   mutable brk : int;
-  mutable last : region;          (* memoize the last hit, or [none] *)
+  mutable last : region;          (* the last region found, or [none] *)
+  mutable prev : region;          (* the one found before it, or [none] *)
 }
 
 (* Sentinel for "no region": the lookup and the memo use it instead of
@@ -26,7 +27,8 @@ let guard_gap = 256
 let alignment = 16
 
 let create () =
-  { regions = Array.make 16 none; count = 0; brk = 0x1000; last = none }
+  { regions = Array.make 16 none; count = 0; brk = 0x1000; last = none;
+    prev = none }
 
 let alloc t ?(name = "region") ?(resident = true) len =
   if len <= 0 then invalid_arg "Memory.alloc: non-positive length";
@@ -67,30 +69,45 @@ let free t r =
     invalid_arg "Memory.free: not a live region";
   Array.blit t.regions (!idx + 1) t.regions !idx (t.count - !idx - 1);
   t.count <- t.count - 1;
-  t.last <- none
+  t.last <- none;
+  t.prev <- none
 
-(* The region wholly containing [addr, addr+size), or [none]. *)
+(* Binary search for the region wholly containing [addr, addr+size), or
+   [none]. A hit becomes [last], and the old [last] becomes [prev]. *)
+let search t addr size =
+  let lo = ref 0 and hi = ref (t.count - 1) and found = ref none in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let r = t.regions.(mid) in
+    if r.base <= addr then begin
+      if addr + size <= r.base + r.len then begin
+        found := r;
+        lo := !hi + 1
+      end
+      else lo := mid + 1
+    end
+    else hi := mid - 1
+  done;
+  if !found != none then begin
+    t.prev <- t.last;
+    t.last <- !found
+  end;
+  !found
+
+(* The region wholly containing [addr, addr+size), or [none].
+
+   Two regions are memoized, not one: a copy loop (Machine.copy, DILP's
+   load/store pair, TCP's staging copy) alternates between its source
+   and its destination, and a one-entry memo would miss on every
+   access. A hit on either entry writes nothing. Residency is not
+   memoized: callers read it live from the region. *)
 let lookup t addr size =
   let r = t.last in
   if addr >= r.base && addr + size <= r.base + r.len then r
-  else begin
-    (* Binary search for the last region with base <= addr. *)
-    let lo = ref 0 and hi = ref (t.count - 1) and found = ref none in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let r = t.regions.(mid) in
-      if r.base <= addr then begin
-        if addr + size <= r.base + r.len then begin
-          found := r;
-          lo := !hi + 1
-        end
-        else lo := mid + 1
-      end
-      else hi := mid - 1
-    done;
-    if !found != none then t.last <- !found;
-    !found
-  end
+  else
+    let p = t.prev in
+    if addr >= p.base && addr + size <= p.base + p.len then p
+    else search t addr size
 
 let find t ~addr ~size =
   let r = lookup t addr size in

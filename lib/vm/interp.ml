@@ -58,8 +58,12 @@ let msg_bound env m off size =
   if off < 0 || size < 0 || off + size > env.msg_len then
     raise (Kill (Isa.Mem_fault (env.msg_addr + off)))
 
+(* [List.memq], not [List.mem]: every [Isa.kcall] constructor is
+   constant, so physical equality is exact and skips the polymorphic
+   compare on each call. A constructor with arguments would break
+   this. *)
 let kcall env m regs k =
-  if not (List.mem k env.allowed_calls) then raise (Kill (Isa.Call_denied k));
+  if not (List.memq k env.allowed_calls) then raise (Kill (Isa.Call_denied k));
   let a0 = get regs Isa.reg_arg0
   and a1 = get regs Isa.reg_arg1
   and a2 = get regs Isa.reg_arg2

@@ -40,7 +40,9 @@ val reg_arg3 : reg
 (** Trusted kernel entry points callable from handlers (§III-B2: message
     data access "through specialized trusted function calls, implemented
     in the kernel", allowing "access checks to be aggregated"). Argument
-    and result registers follow the [reg_arg*] convention. *)
+    and result registers follow the [reg_arg*] convention. Every
+    constructor is constant: [Interp] checks the allowed set with
+    [List.memq], which a constructor with arguments would break. *)
 type kcall =
   | K_msg_read8   (** arg0=offset into message; result0=byte. *)
   | K_msg_read16  (** arg0=offset; result0=16-bit BE word. *)

@@ -1,7 +1,9 @@
 (* `ashbench regress` semantics over temp files: a headline inside its
    band passes, one outside it fails, one missing from the results
    fails (a renamed row must not switch the gate off), and one with no
-   baseline value only warns. *)
+   baseline value only warns. `History.append`: a partial run merges
+   into its revision's entry, and a run with no headline writes
+   nothing. *)
 
 module History = Ash_bench.History
 
@@ -129,6 +131,65 @@ let test_no_baseline_warns () =
     (status_of report "exp_mq.failover_blackout_ms");
   Alcotest.(check bool) "report passes" true report.History.r_ok
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Append [rows] (recorded as revision "current") to [history_path]. *)
+let append ~rows ~history_path =
+  let results_path = write_temp (results_doc rows) in
+  let entry = History.append ~results_path ~history_path in
+  Sys.remove results_path;
+  entry
+
+let metrics_of_rev history_path rev =
+  match
+    List.find_opt (fun e -> e.History.e_rev = rev)
+      (History.load_history history_path)
+  with
+  | Some e -> List.sort compare e.History.e_metrics
+  | None -> Alcotest.failf "no history entry for %s" rev
+
+let metrics = Alcotest.(list (pair string (float 1e-9)))
+
+let test_partial_run_keeps_earlier_values () =
+  let history_path = write_temp (history_doc baseline) in
+  ignore (append ~rows:(rows_with (fun _ v -> v)) ~history_path);
+  (* A later run of the same revision that only covers exp_mq, with a
+     moved goodput. *)
+  let mq_only =
+    List.filter_map
+      (fun (t, l, k, v) ->
+         if t <> "exp_mq" then None
+         else if k = "exp_mq.goodput_5pct_loss" then Some (t, l, v *. 2.)
+         else Some (t, l, v))
+      headlines
+  in
+  (match append ~rows:mq_only ~history_path with
+   | Some e ->
+     Alcotest.(check int) "entry keeps all headlines" (List.length headlines)
+       (List.length e.History.e_metrics)
+   | None -> Alcotest.fail "partial run wrote no entry");
+  let expected =
+    List.map
+      (fun (k, v) -> if k = "exp_mq.goodput_5pct_loss" then (k, v *. 2.) else (k, v))
+      baseline
+    |> List.sort compare
+  in
+  Alcotest.check metrics "merged entry" expected
+    (metrics_of_rev history_path "current");
+  Alcotest.check metrics "other revision untouched"
+    (List.sort compare baseline) (metrics_of_rev history_path "base");
+  Sys.remove history_path
+
+let test_empty_run_leaves_history_unchanged () =
+  let history_path = write_temp (history_doc baseline) in
+  ignore (append ~rows:(rows_with (fun _ v -> v)) ~history_path);
+  let before = read_file history_path in
+  (match append ~rows:[] ~history_path with
+   | None -> ()
+   | Some _ -> Alcotest.fail "a run with no headline wrote an entry");
+  Alcotest.(check string) "history file" before (read_file history_path);
+  Sys.remove history_path
+
 let () =
   Alcotest.run "history"
     [
@@ -141,5 +202,12 @@ let () =
           Alcotest.test_case "missing headline fails" `Quick
             test_missing_headline_fails;
           Alcotest.test_case "no baseline warns" `Quick test_no_baseline_warns;
+        ] );
+      ( "append",
+        [
+          Alcotest.test_case "partial run keeps the earlier values" `Quick
+            test_partial_run_keeps_earlier_values;
+          Alcotest.test_case "empty run leaves history unchanged" `Quick
+            test_empty_run_leaves_history_unchanged;
         ] );
     ]

@@ -250,6 +250,63 @@ let test_memory_faults_exact () =
     (Memory.find m ~addr:a0 ~size:1 = None);
   Alcotest.(check int) "neighbour still served" 0 (Memory.load8 m b0)
 
+(* The lookup memoizes two regions ([last] and [prev]). Accessing [a]
+   then [b] leaves [b] in [last] and [a] in [prev]. *)
+let test_memory_memo_three_regions () =
+  let m = Memory.create () in
+  let rs = Array.init 3 (fun _ -> (Memory.alloc m 64).Memory.base) in
+  (* Round-robin over three regions misses the two-entry memo on every
+     access; pairs of regions hit it. *)
+  for i = 0 to 15 do
+    Array.iteri (fun k base -> Memory.store32 m (base + (4 * i)) ((k lsl 8) + i)) rs
+  done;
+  for i = 0 to 15 do
+    Memory.store8 m (rs.(0) + 4 * i + 3) (0x80 + i);
+    Alcotest.(check int) "b" ((1 lsl 8) + i) (Memory.load32 m (rs.(1) + (4 * i)))
+  done;
+  for i = 0 to 15 do
+    Array.iteri
+      (fun k base ->
+         let want = if k = 0 then 0x80 + i else (k lsl 8) + i in
+         Alcotest.(check int) (Printf.sprintf "region %d word %d" k i) want
+           (Memory.load32 m (base + (4 * i))))
+      rs
+  done
+
+let test_memory_memo_free () =
+  let m = Memory.create () in
+  let a = Memory.alloc m 32 and b = Memory.alloc m 32 in
+  let c = Memory.alloc m 32 in
+  let a0 = a.Memory.base and b0 = b.Memory.base and c0 = c.Memory.base in
+  ignore (Memory.load32 m a0);
+  ignore (Memory.load32 m b0);
+  Memory.free m a;  (* [a] sits in [prev] *)
+  expect_fault "freed while in prev" ~addr:a0 ~size:4 ~reason:"unmapped"
+    (fun () -> Memory.load32 m a0);
+  ignore (Memory.load32 m c0);
+  ignore (Memory.load32 m b0);
+  Memory.free m b;  (* [b] sits in [last] *)
+  expect_fault "freed while in last" ~addr:(b0 + 8) ~size:4
+    ~reason:"unmapped" (fun () -> Memory.store32 m (b0 + 8) 1);
+  Alcotest.(check int) "survivor still served" 0 (Memory.load32 m c0)
+
+let test_memory_memo_residency () =
+  let m = Memory.create () in
+  let a = Memory.alloc m 32 and b = Memory.alloc m 32 in
+  let a0 = a.Memory.base and b0 = b.Memory.base in
+  ignore (Memory.load32 m a0);
+  ignore (Memory.load32 m b0);
+  Memory.set_resident a false;  (* in [prev] *)
+  expect_fault "paged out in prev" ~addr:a0 ~size:4
+    ~reason:"non-resident page" (fun () -> Memory.load32 m a0);
+  Memory.set_resident b false;  (* in [last] *)
+  expect_fault "paged out in last" ~addr:b0 ~size:2
+    ~reason:"non-resident page" (fun () -> Memory.store16 m b0 1);
+  Memory.set_resident a true;
+  Memory.set_resident b true;
+  Memory.store32 m b0 7;
+  Alcotest.(check int) "back in" 7 (Memory.load32 m b0)
+
 (* ------------------------------------------------------------------ *)
 (* Machine: cycle accounting and Table III calibration                 *)
 (* ------------------------------------------------------------------ *)
@@ -363,6 +420,12 @@ let test_accessors_allocation_free () =
         Machine.store8 m (a + o) i;
         Machine.store16 m (b + o) i;
         Machine.store32 m (a + o) i
+      done);
+  let ra = Machine.mem m in
+  check_no_alloc "alternating regions" (fun () ->
+      for i = 0 to 9999 do
+        let o = (i land 1023) * 4 in
+        Memory.store32 ra (b + o) (Memory.load32 ra (a + o))
       done);
   check_no_alloc "copy" (fun () ->
       Machine.copy m ~src:a ~dst:b ~len:4096;
@@ -535,6 +598,10 @@ let () =
           Alcotest.test_case "many regions" `Quick
             test_memory_many_regions_lookup;
           Alcotest.test_case "faults exact" `Quick test_memory_faults_exact;
+          Alcotest.test_case "memo three regions" `Quick
+            test_memory_memo_three_regions;
+          Alcotest.test_case "memo free" `Quick test_memory_memo_free;
+          Alcotest.test_case "memo residency" `Quick test_memory_memo_residency;
         ] );
       ( "machine",
         [

@@ -143,6 +143,54 @@ let test_crc32_detects_corruption () =
   let c' = Crc32.digest b ~off:0 ~len:(Bytes.length b) in
   Alcotest.(check bool) "differs" true (c <> c')
 
+let test_crc32_empty_slice () =
+  let b = Bytes.of_string "abcdefgh" in
+  List.iter
+    (fun off ->
+       Alcotest.(check int32) (Printf.sprintf "off %d" off) 0l
+         (Crc32.digest b ~off ~len:0))
+    [ 0; 3; 8 ]
+
+(* The textbook CRC-32: eight shift/xor steps per byte, no table. *)
+let crc32_bitwise b ~off ~len =
+  let crc = ref 0xffff_ffff in
+  for i = off to off + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      crc :=
+        if !crc land 1 <> 0 then 0xedb88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  Int32.of_int (!crc lxor 0xffff_ffff)
+
+(* Random buffers at offsets 0-7 and lengths 0-3100, so every alignment
+   and every tail length after the 4-byte steps is covered. *)
+let test_crc32_matches_bitwise () =
+  let rng = Random.State.make [| 0x5eed |] in
+  let buf = Bytes.init 3108 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let check off len =
+    Alcotest.(check int32)
+      (Printf.sprintf "off %d len %d" off len)
+      (crc32_bitwise buf ~off ~len) (Crc32.digest buf ~off ~len)
+  in
+  for off = 0 to 7 do
+    for len = 0 to 16 do check off len done;
+    check off 3100
+  done;
+  for _ = 1 to 300 do
+    check (Random.State.int rng 8) (Random.State.int rng 3101)
+  done
+
+let test_crc32_bad_bounds () =
+  let b = Bytes.create 16 in
+  List.iter
+    (fun (off, len) ->
+       Alcotest.check_raises
+         (Printf.sprintf "off %d len %d" off len)
+         (Invalid_argument "Crc32.digest")
+         (fun () -> ignore (Crc32.digest b ~off ~len)))
+    [ (-1, 4); (0, -1); (0, 17); (13, 4); (17, 0); (max_int, 1) ]
+
 (* ------------------------------------------------------------------ *)
 (* RNG                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -433,6 +481,10 @@ let () =
           Alcotest.test_case "known vectors" `Quick test_crc32_known;
           Alcotest.test_case "detects corruption" `Quick
             test_crc32_detects_corruption;
+          Alcotest.test_case "empty slice" `Quick test_crc32_empty_slice;
+          Alcotest.test_case "matches bitwise reference" `Quick
+            test_crc32_matches_bitwise;
+          Alcotest.test_case "bad bounds raise" `Quick test_crc32_bad_bounds;
         ] );
       ( "rng",
         [
